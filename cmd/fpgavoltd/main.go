@@ -10,7 +10,7 @@
 //
 //	fpgavoltd [-listen :8080] [-store fvm-store] [-workers 2]
 //	          [-queue 16] [-fleet-workers 0] [-max-boards 64]
-//	          [-journal=true] [-gc-keep 0] [-job-retain 0]
+//	          [-gc-keep 0] [-job-retain 0]
 //	          [-job-live-segs 0] [-auth-token ""]
 //
 // With -auth-token (or FPGAVOLTD_TOKEN in the environment) every mutating
@@ -71,7 +71,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		fleetWorkers = fs.Int("fleet-workers", 0, "concurrent boards per campaign (0 = auto)")
 		maxBoards    = fs.Int("max-boards", 64, "largest fleet one campaign may enroll")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
-		journal      = fs.Bool("journal", true, "journal jobs into the store so listings survive restarts")
 		gcKeep       = fs.Int("gc-keep", 0, "keep only the newest N store records per (platform, serial); 0 = unbounded")
 		jobRetain    = fs.Int("job-retain", 0, "trim a finished job's journaled event log to its last N events; 0 = keep everything")
 		jobLiveSegs  = fs.Int("job-live-segs", 0, "cap a running job's sealed event-log segments; older history is dropped and resumes below it get a truncation marker; 0 = unlimited")
@@ -94,15 +93,14 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		}
 	}
 	svc, err := fpgavolt.NewService(fpgavolt.ServiceConfig{
-		Store:          st,
-		Workers:        *workers,
-		QueueDepth:     *queueDepth,
-		FleetWorkers:   *fleetWorkers,
-		MaxBoards:      *maxBoards,
-		DisableJournal: !*journal,
-		GCKeep:         *gcKeep,
-		JobRetain:      *jobRetain,
-		AuthToken:      *authToken,
+		Store:        st,
+		Workers:      *workers,
+		QueueDepth:   *queueDepth,
+		FleetWorkers: *fleetWorkers,
+		MaxBoards:    *maxBoards,
+		GCKeep:       *gcKeep,
+		JobRetain:    *jobRetain,
+		AuthToken:    *authToken,
 	})
 	if err != nil {
 		return err

@@ -6,9 +6,10 @@
 // that daemon's FVM store and cache stay warm for it — with work-stealing
 // when the shards finish unevenly. Downstream events are re-stamped under
 // the coordinator's own per-job and global sequences and merged into one
-// restart-safe SSE stream; the coordinator journals every event and job
-// state into its own store, so Last-Event-ID resume works across
-// coordinator restarts exactly like it does on a single daemon. Health
+// restart-safe SSE stream. The coordinator runs the daemon's own job and
+// stream layer (server.JobTable) over its own store, so journaling,
+// Last-Event-ID resume across restarts and truncation markers behave
+// exactly as they do on a single daemon. Health
 // checks detect a daemon dying mid-campaign; its unfinished shard is
 // retried on a survivor, and the retry is surfaced in the job detail.
 // Query endpoints (/v1/fvms, /v1/vmin) answer over the union of the
@@ -16,9 +17,7 @@
 package fed
 
 import (
-	"cmp"
 	"context"
-	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,7 +27,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fvm"
@@ -55,8 +53,6 @@ type Config struct {
 	// RetryLimit bounds how many daemons one chunk may be attempted on
 	// before its boards are marked failed (default 3).
 	RetryLimit int
-	// VNodes is the virtual nodes per daemon on the hash ring (default 64).
-	VNodes int
 	// MaxJobHistory caps the coordinator's job table (default 256).
 	MaxJobHistory int
 	// JobRetain, when > 0, trims a terminal federated job's journaled event
@@ -82,12 +78,6 @@ type Config struct {
 	// (default 5). Each break resumes from the last seen event, so a
 	// retried stream never replays work, only the tail.
 	StreamRetries int
-	// SSEKeepAlive is the idle interval between SSE comment frames
-	// (default 15s).
-	SSEKeepAlive time.Duration
-	// FirehoseBuffer bounds the merged /v1/events replay window
-	// (default 8192 events).
-	FirehoseBuffer int
 	// AuthToken, when non-empty, gates the coordinator's own mutating
 	// endpoints behind `Authorization: Bearer <token>`.
 	AuthToken string
@@ -109,9 +99,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryLimit <= 0 {
 		c.RetryLimit = 3
 	}
-	if c.MaxJobHistory <= 0 {
-		c.MaxJobHistory = 256
-	}
 	if c.HealthEvery <= 0 {
 		c.HealthEvery = time.Second
 	}
@@ -127,9 +114,6 @@ func (c Config) withDefaults() Config {
 	if c.StreamRetries <= 0 {
 		c.StreamRetries = 5
 	}
-	if c.SSEKeepAlive <= 0 {
-		c.SSEKeepAlive = 15 * time.Second
-	}
 	if c.HTTPClient == nil {
 		c.HTTPClient = &http.Client{}
 	}
@@ -143,8 +127,9 @@ type Coordinator struct {
 	mux     *http.ServeMux
 	ring    *ring
 	clients map[string]*server.Client
-	fh      *firehose
-	jnErrs  atomic.Uint64
+	// jobs is the daemon's job-and-stream layer over the coordinator's
+	// store: federated job ids read fed-0001, fed-0002, ...
+	jobs *server.JobTable
 
 	baseCtx context.Context
 	abort   context.CancelFunc
@@ -153,13 +138,9 @@ type Coordinator struct {
 	// loop and real downstream call outcomes (see health.go).
 	health *health
 
-	mu       sync.Mutex
-	seq      int
-	jobs     map[string]*fedJob
-	order    []string
+	mu       sync.Mutex // guards draining against runner starts
 	draining bool
-
-	wg sync.WaitGroup
+	wg       sync.WaitGroup
 }
 
 // New assembles a coordinator over the configured daemons, replays its
@@ -183,12 +164,10 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
-		ring:    newRing(cfg.Downstreams, cfg.VNodes),
+		ring:    newRing(cfg.Downstreams),
 		clients: make(map[string]*server.Client, len(cfg.Downstreams)),
-		fh:      newFirehose(cfg.FirehoseBuffer),
 		baseCtx: ctx,
 		abort:   abort,
-		jobs:    make(map[string]*fedJob),
 		// Every breaker starts closed — optimistic until probes say
 		// otherwise, like the pre-breaker health table.
 		health: newHealth(norm, cfg.HealthFailN, cfg.HealthOkN),
@@ -196,14 +175,20 @@ func New(cfg Config) (*Coordinator, error) {
 	seen := make(map[string]bool, len(cfg.Downstreams))
 	for _, d := range cfg.Downstreams {
 		if seen[d] {
+			abort()
 			return nil, fmt.Errorf("fed: downstream %s listed twice", d)
 		}
 		seen[d] = true
 		c.clients[d] = server.NewClient(d, cfg.HTTPClient).SetToken(cfg.DownstreamToken)
 	}
-	if err := c.replayJournal(); err != nil {
-		return nil, err
+	jobs, err := server.NewJobTable(ctx, server.Config{
+		Store: cfg.Store, MaxJobHistory: cfg.MaxJobHistory, JobRetain: cfg.JobRetain,
+	}, "fed", "coordinator restarted mid-campaign")
+	if err != nil {
+		abort()
+		return nil, fmt.Errorf("fed: %w", err)
 	}
+	c.jobs = jobs
 	c.routes()
 	c.wg.Add(1)
 	go c.healthLoop()
@@ -235,35 +220,14 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 }
 
 func (c *Coordinator) routes() {
-	c.mux.HandleFunc("POST /v1/campaigns", c.requireAuth(c.handleSubmit))
-	c.mux.HandleFunc("GET /v1/jobs", c.handleJobs)
-	c.mux.HandleFunc("GET /v1/jobs/{id}", c.handleJob)
-	c.mux.HandleFunc("DELETE /v1/jobs/{id}", c.requireAuth(c.handleCancel))
-	c.mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleEvents)
-	c.mux.HandleFunc("GET /v1/events", c.handleFirehose)
+	c.mux.HandleFunc("POST /v1/campaigns", server.RequireAuth(c.cfg.AuthToken, c.handleSubmit))
+	c.jobs.Routes(c.mux, c.cfg.AuthToken)
 	c.mux.HandleFunc("GET /v1/fvms", c.handleFVMs)
 	c.mux.HandleFunc("GET /v1/fvms/{id}", c.handleFVM)
-	c.mux.HandleFunc("DELETE /v1/fvms/{id}", c.requireAuth(c.handleDeleteFVM))
+	c.mux.HandleFunc("DELETE /v1/fvms/{id}", server.RequireAuth(c.cfg.AuthToken, c.handleDeleteFVM))
 	c.mux.HandleFunc("GET /v1/vmin", c.handleVmin)
-	c.mux.HandleFunc("POST /v1/gc", c.requireAuth(c.handleGC))
+	c.mux.HandleFunc("POST /v1/gc", server.RequireAuth(c.cfg.AuthToken, c.handleGC))
 	c.mux.HandleFunc("GET /healthz", c.handleHealth)
-}
-
-// requireAuth mirrors the daemon's bearer gate on the coordinator's own
-// mutating endpoints.
-func (c *Coordinator) requireAuth(h http.HandlerFunc) http.HandlerFunc {
-	if c.cfg.AuthToken == "" {
-		return h
-	}
-	want := []byte(c.cfg.AuthToken)
-	return func(w http.ResponseWriter, r *http.Request) {
-		tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-		if !ok || subtle.ConstantTimeCompare([]byte(strings.TrimSpace(tok)), want) != 1 {
-			writeError(w, http.StatusUnauthorized, "missing or invalid bearer token")
-			return
-		}
-		h(w, r)
-	}
 }
 
 // --- health -----------------------------------------------------------
@@ -324,394 +288,48 @@ func (c *Coordinator) callCtx(parent context.Context) (context.Context, context.
 	return context.WithTimeout(parent, c.cfg.DownstreamTimeout)
 }
 
-// --- coordinator journal ----------------------------------------------
-
-// fedJobMeta is the journaled form of one federated job — the same
-// {"status": ...} envelope the daemon journals, so the two layouts stay
-// mutually readable by the same tooling.
-type fedJobMeta struct {
-	Status server.JobStatus `json:"status"`
-}
-
-// putJobMeta persists j's metadata record, O(1) in its event count.
-func (c *Coordinator) putJobMeta(j *fedJob) {
-	payload, err := json.Marshal(fedJobMeta{Status: j.status(true)})
-	if err == nil {
-		err = c.cfg.Store.PutJob(&store.JobRecord{ID: j.id, Seq: j.seq, Payload: payload})
-	}
-	if err != nil {
-		c.jnErrs.Add(1)
-		j.noteJournalDegraded()
-	}
-}
-
-// retainTerminal applies Config.JobRetain to a terminal job's event log.
-func (c *Coordinator) retainTerminal(id string) {
-	if c.cfg.JobRetain <= 0 {
-		return
-	}
-	if err := c.cfg.Store.TrimJobEvents(id, c.cfg.JobRetain); err != nil {
-		c.jnErrs.Add(1)
-	}
-}
-
-// readJobEvents pages one job's journaled events with Seq >= from.
-func (c *Coordinator) readJobEvents(id string, from, limit int) []server.JobEvent {
-	recs, err := c.cfg.Store.ReadJobEvents(id, from, limit)
-	if err != nil {
-		return nil
-	}
-	return decodeEventRecords(recs)
-}
-
-// firehosePage pages journaled events across all jobs with GSeq > after.
-func (c *Coordinator) firehosePage(after int64, limit int) []server.JobEvent {
-	recs, err := c.cfg.Store.ReadFirehose(after, limit)
-	if err != nil {
-		return nil
-	}
-	return decodeEventRecords(recs)
-}
-
-func decodeEventRecords(recs []store.EventRecord) []server.JobEvent {
-	evs := make([]server.JobEvent, 0, len(recs))
-	for _, rec := range recs {
-		var ev server.JobEvent
-		if err := json.Unmarshal(rec.Payload, &ev); err != nil {
-			continue
-		}
-		evs = append(evs, ev)
-	}
-	return evs
-}
-
-// replayJournal rebuilds the job table from the coordinator's store at
-// boot. Jobs journaled non-terminal were mid-campaign when the previous
-// coordinator died; they come back failed with a restart marker (their
-// downstream shards either finished without anyone to merge them or were
-// cancelled by the daemons' own restart handling). The firehose sequence
-// resumes past everything journaled, so a client's Last-Event-ID stays
-// valid across the restart.
-func (c *Coordinator) replayJournal() error {
-	recs, err := c.cfg.Store.ListJobs()
-	if err != nil {
-		return fmt.Errorf("fed: replay journal: %w", err)
-	}
-	maxGSeq, err := c.cfg.Store.LastGSeq()
-	if err != nil {
-		return fmt.Errorf("fed: replay journal: %w", err)
-	}
-	c.fh.startAfter(maxGSeq)
-	var interrupted []*fedJob
-	for _, rec := range recs {
-		var meta fedJobMeta
-		if err := json.Unmarshal(rec.Payload, &meta); err != nil || meta.Status.ID != rec.ID {
-			continue
-		}
-		nextSeq, _, err := c.cfg.Store.JobEventStats(rec.ID)
-		if err != nil {
-			nextSeq = 0
-		}
-		st := meta.Status
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		j := &fedJob{
-			id: rec.ID, seq: rec.Seq, kind: st.Kind,
-			ctx: ctx, cancel: cancel, c: c,
-			state: st.State, created: st.Created, progress: st.Progress,
-			eventsBase: nextSeq,
-			notify:     make(chan struct{}),
-			restored:   &st,
-		}
-		c.mu.Lock()
-		if rec.Seq > c.seq {
-			c.seq = rec.Seq
-		}
-		c.jobs[j.id] = j
-		c.order = append(c.order, j.id)
-		c.mu.Unlock()
-		if !st.State.Terminal() {
-			interrupted = append(interrupted, j)
-		}
-	}
-	for _, j := range interrupted {
-		j.failRestored("coordinator restarted mid-campaign")
-	}
-	return nil
-}
-
-// failRestored finishes a replayed job that was live when the previous
-// coordinator died: failed state, terminal event with a fresh coordinator
-// sequence, journal updated.
-func (j *fedJob) failRestored(msg string) {
-	j.mu.Lock()
-	if j.restored == nil || j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	now := time.Now()
-	j.state = server.JobFailed
-	j.finished = now
-	j.restored.State = server.JobFailed
-	j.restored.Error = msg
-	j.restored.Finished = &now
-	te := server.JobEvent{Type: "campaign", Progress: j.progress, State: server.JobFailed, Error: msg}
-	out := j.appendEventLocked(te)
-	j.mu.Unlock()
-	j.journalEvent(out)
-	j.c.putJobMeta(j)
-}
-
-// --- job table --------------------------------------------------------
-
-// createJob registers a new federated job. The coordinator's history bound
-// mirrors the daemon's: beyond MaxJobHistory the oldest terminal jobs are
-// evicted and unjournaled.
-func (c *Coordinator) createJob(req server.CampaignRequest, flat []server.BoardSpec) *fedJob {
-	c.mu.Lock()
-	c.seq++
-	id := fmt.Sprintf("fed-%04d", c.seq)
-	c.mu.Unlock()
-	j := c.newFedJob(id, c.seq, req, flat)
-	c.mu.Lock()
-	c.jobs[id] = j
-	c.order = append(c.order, id)
-	var evicted []string
-	if excess := len(c.jobs) - c.cfg.MaxJobHistory; excess > 0 {
-		kept := c.order[:0]
-		for _, oid := range c.order {
-			old := c.jobs[oid]
-			if excess > 0 && old != nil && old.terminal() {
-				delete(c.jobs, oid)
-				evicted = append(evicted, oid)
-				excess--
-				continue
-			}
-			kept = append(kept, oid)
-		}
-		c.order = kept
-	}
-	c.mu.Unlock()
-	for _, oid := range evicted {
-		if err := c.cfg.Store.DeleteJob(oid); err != nil {
-			c.jnErrs.Add(1)
-		}
-	}
-	return j
-}
-
-func (c *Coordinator) getJob(id string) (*fedJob, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	return j, ok
-}
-
 // --- HTTP handlers ----------------------------------------------------
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 48<<20))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
+		server.WriteError(w, &server.APIStatusError{StatusCode: http.StatusRequestEntityTooLarge,
+			Message: "request body too large"})
 		return
 	}
 	var req server.CampaignRequest
 	if err := json.Unmarshal(raw, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+		server.WriteError(w, &server.APIStatusError{StatusCode: http.StatusBadRequest,
+			Message: fmt.Sprintf("decode request: %v", err)})
 		return
 	}
 	// Validate up front: a bad submission is a 400 at the coordinator, not
 	// N downstream failures — and the expansion is the shard plan.
 	if err := req.Validate(c.cfg.MaxBoards); err != nil {
-		writeAPIError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	flat, err := server.ExpandBoards(req.Boards, c.cfg.MaxBoards)
 	if err != nil {
-		writeAPIError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	c.mu.Lock()
-	draining := c.draining
-	c.mu.Unlock()
-	if draining {
-		writeError(w, http.StatusServiceUnavailable, "coordinator is shutting down")
+	if c.draining {
+		c.mu.Unlock()
+		server.WriteError(w, &server.APIStatusError{StatusCode: http.StatusServiceUnavailable,
+			Message: "coordinator is shutting down"})
 		return
 	}
-	j := c.createJob(req, flat)
-	c.putJobMeta(j)
 	c.wg.Add(1)
+	c.mu.Unlock()
+	j := newFedJob(req, flat)
+	j.job = c.jobs.Create(req.Kind, len(flat), j.detail)
 	go func() {
 		defer c.wg.Done()
 		c.runJob(j)
 	}()
-	writeJSON(w, http.StatusAccepted, j.status(true))
-}
-
-func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	jobs := make([]*fedJob, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		jobs = append(jobs, j)
-	}
-	c.mu.Unlock()
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq })
-	out := make([]server.JobStatus, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.status(false))
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (c *Coordinator) lookupJob(w http.ResponseWriter, r *http.Request) (*fedJob, bool) {
-	j, ok := c.getJob(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", r.PathValue("id")))
-	}
-	return j, ok
-}
-
-func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	if j, ok := c.lookupJob(w, r); ok {
-		writeJSON(w, http.StatusOK, j.status(true))
-	}
-}
-
-func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.lookupJob(w, r)
-	if !ok {
-		return
-	}
-	j.cancel()
-	writeJSON(w, http.StatusOK, j.status(true))
-}
-
-const sseRetryHint = 2 * time.Second
-
-func startSSE(w http.ResponseWriter) (http.Flusher, bool) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "response writer cannot stream")
-		return nil, false
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, "retry: %d\n\n", sseRetryHint.Milliseconds())
-	flusher.Flush()
-	return flusher, true
-}
-
-func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.lookupJob(w, r)
-	if !ok {
-		return
-	}
-	next := 0
-	if after := cmp.Or(r.Header.Get("Last-Event-ID"), r.URL.Query().Get("after")); after != "" {
-		if n, err := strconv.Atoi(after); err == nil && n >= 0 {
-			next = n + 1
-		}
-	}
-	flusher, ok := startSSE(w)
-	if !ok {
-		return
-	}
-	keepalive := time.NewTicker(c.cfg.SSEKeepAlive)
-	defer keepalive.Stop()
-	for {
-		evs, terminal, changed := j.eventsSince(next)
-		for _, ev := range evs {
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
-			next = ev.Seq + 1
-		}
-		if len(evs) > 0 {
-			flusher.Flush()
-		}
-		if terminal {
-			if evs, _, _ := j.eventsSince(next); len(evs) == 0 {
-				return
-			}
-			continue
-		}
-		select {
-		case <-changed:
-		case <-keepalive.C:
-			fmt.Fprint(w, ": keepalive\n\n")
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		case <-c.baseCtx.Done():
-			return
-		}
-	}
-}
-
-// firehosePageSize bounds one deep-resume page of the merged stream.
-const firehosePageSize = 512
-
-func (c *Coordinator) handleFirehose(w http.ResponseWriter, r *http.Request) {
-	var after int64
-	if q := cmp.Or(r.Header.Get("Last-Event-ID"), r.URL.Query().Get("after")); q != "" {
-		if n, err := strconv.ParseInt(q, 10, 64); err == nil && n > 0 {
-			after = n
-		}
-	}
-	flusher, ok := startSSE(w)
-	if !ok {
-		return
-	}
-	keepalive := time.NewTicker(c.cfg.SSEKeepAlive)
-	defer keepalive.Stop()
-	emit := func(ev server.JobEvent) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.GSeq, ev.Type, data)
-		after = ev.GSeq
-		return true
-	}
-	for {
-		evs, changed, inWindow := c.fh.since(after)
-		if !inWindow {
-			if page := c.firehosePage(after, firehosePageSize); len(page) > 0 {
-				for _, ev := range page {
-					if !emit(ev) {
-						return
-					}
-				}
-				flusher.Flush()
-				continue
-			}
-			after = c.fh.lowWater()
-			continue
-		}
-		for _, ev := range evs {
-			if !emit(ev) {
-				return
-			}
-		}
-		if len(evs) > 0 {
-			flusher.Flush()
-		}
-		select {
-		case <-changed:
-		case <-keepalive.C:
-			fmt.Fprint(w, ": keepalive\n\n")
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		case <-c.baseCtx.Done():
-			return
-		}
-	}
+	j.job.Accepted(w)
 }
 
 // fanout runs fn against every downstream concurrently, each call bounded
@@ -792,16 +410,21 @@ func (c *Coordinator) handleFVMs(w http.ResponseWriter, r *http.Request) {
 	// parity); survivors only → the partial envelope, so a client can tell
 	// "the fleet has these" from "the daemons I could reach have these".
 	if len(missing) > 0 {
-		writeJSON(w, http.StatusOK, server.FVMList{FVMs: out, Partial: true, Missing: missing})
+		server.WriteJSON(w, http.StatusOK, server.FVMList{FVMs: out, Partial: true, Missing: missing})
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
+}
+
+// errNoFVM is the 404 a query for an FVM no reachable daemon holds answers.
+func errNoFVM(id string) error {
+	return &server.APIStatusError{StatusCode: http.StatusNotFound, Message: fmt.Sprintf("no FVM %q", id)}
 }
 
 func (c *Coordinator) handleFVM(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !store.ValidID(id) {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no FVM %q", id))
+		server.WriteError(w, errNoFVM(id))
 		return
 	}
 	for d, cl := range c.clients {
@@ -814,17 +437,17 @@ func (c *Coordinator) handleFVM(w http.ResponseWriter, r *http.Request) {
 			return cl.FVM(ctx, id)
 		}()
 		if err == nil {
-			writeJSON(w, http.StatusOK, m)
+			server.WriteJSON(w, http.StatusOK, m)
 			return
 		}
 	}
-	writeError(w, http.StatusNotFound, fmt.Sprintf("no FVM %q", id))
+	server.WriteError(w, errNoFVM(id))
 }
 
 func (c *Coordinator) handleDeleteFVM(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !store.ValidID(id) {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no FVM %q", id))
+		server.WriteError(w, errNoFVM(id))
 		return
 	}
 	deleted, missing := fanout(c, r.Context(), func(ctx context.Context, cl *server.Client) (bool, error) {
@@ -834,7 +457,7 @@ func (c *Coordinator) handleDeleteFVM(w http.ResponseWriter, r *http.Request) {
 		return true, nil
 	})
 	if len(deleted) == 0 {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("no FVM %q", id))
+		server.WriteError(w, errNoFVM(id))
 		return
 	}
 	resp := map[string]any{"deleted": id}
@@ -843,7 +466,7 @@ func (c *Coordinator) handleDeleteFVM(w http.ResponseWriter, r *http.Request) {
 		// of claiming a fleet-wide delete.
 		resp["partial"], resp["missing"] = true, missing
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleVmin(w http.ResponseWriter, r *http.Request) {
@@ -872,10 +495,10 @@ func (c *Coordinator) handleVmin(w http.ResponseWriter, r *http.Request) {
 		return out[i].TempC < out[k].TempC
 	})
 	if len(missing) > 0 {
-		writeJSON(w, http.StatusOK, server.VminList{Vmin: out, Partial: true, Missing: missing})
+		server.WriteJSON(w, http.StatusOK, server.VminList{Vmin: out, Partial: true, Missing: missing})
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 func (c *Coordinator) handleGC(w http.ResponseWriter, r *http.Request) {
@@ -883,7 +506,8 @@ func (c *Coordinator) handleGC(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("keep"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("keep %q must be a positive integer", q))
+			server.WriteError(w, &server.APIStatusError{StatusCode: http.StatusBadRequest,
+				Message: fmt.Sprintf("keep %q must be a positive integer", q)})
 			return
 		}
 		keep = n
@@ -899,7 +523,7 @@ func (c *Coordinator) handleGC(w http.ResponseWriter, r *http.Request) {
 	if len(missing) > 0 {
 		resp["partial"], resp["missing"] = true, missing
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -924,39 +548,11 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 		daemons = append(daemons, dh{URL: d, Healthy: ok, Breaker: state.String(), Fails: fails})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"ok":             !draining && alive > 0,
 		"federation":     true,
 		"draining":       draining,
 		"daemons":        daemons,
-		"journal_errors": c.jnErrs.Load(),
+		"journal_errors": c.jobs.JournalErrors(),
 	})
-}
-
-// --- response helpers -------------------------------------------------
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	// The coordinator answers with the same error envelope as a daemon, so
-	// a client never needs to know which layer refused it.
-	writeJSON(w, status, server.ErrorBody{Error: msg})
-}
-
-// writeAPIError maps a validation error onto the coordinator's response: a
-// downstream *APIStatusError keeps its status, and anything else out of
-// server.Validate / server.ExpandBoards is a 400 by construction.
-func writeAPIError(w http.ResponseWriter, err error) {
-	var se *server.APIStatusError
-	if errors.As(err, &se) {
-		writeError(w, se.StatusCode, se.Message)
-		return
-	}
-	writeError(w, http.StatusBadRequest, err.Error())
 }

@@ -545,3 +545,58 @@ func TestCoordinatorRestartResume(t *testing.T) {
 		prev = ev.GSeq
 	}
 }
+
+// TestCoordinatorKeepsTruncationMarker restarts a coordinator whose store
+// dropped the oldest history of a finished job (a one-segment live cap,
+// forced by a compaction) and requires a resume from Seq 0 to lead with the
+// store's truncated marker — the coordinator serves the daemon's stream
+// layer, so the gap is announced, never silent.
+func TestCoordinatorKeepsTruncationMarker(t *testing.T) {
+	ctx := context.Background()
+	d1 := newDaemon(t, server.Config{})
+	disk, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { disk.Close() })
+	disk.SetEventLogTuning(2, 1<<30)
+	disk.SetLiveSegCap(1)
+
+	c1, fc1 := newFed(t, fed.Config{Downstreams: []string{d1.URL}, Store: disk})
+	job, err := fc1.Submit(ctx, fleetCampaign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := fc1.Wait(ctx, job.ID, nil); err != nil || final.State != server.JobDone {
+		t.Fatalf("campaign: state=%v err=%v", final.State, err)
+	}
+	if err := c1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Six boards, a start and a done each, then the terminal event: Seq
+	// 0..12. Folding them into two-event segments and keeping one drops
+	// everything through Seq 9.
+	if err := disk.CompactJob(job.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	_, fc2 := newFed(t, fed.Config{Downstreams: []string{d1.URL}, Store: disk})
+	var evs []server.JobEvent
+	if err := fc2.Events(ctx, job.ID, func(ev server.JobEvent) error {
+		evs = append(evs, ev)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) == 0 || evs[0].Type != "truncated" || evs[0].Seq != 9 {
+		t.Fatalf("resume from Seq 0 began with %+v, want the truncated marker at Seq 9", evs)
+	}
+	for i, ev := range evs[1:] {
+		if ev.Seq != 10+i {
+			t.Fatalf("event %d after the marker has seq %d, want %d", i, ev.Seq, 10+i)
+		}
+	}
+	if last := evs[len(evs)-1]; last.Type != "campaign" || last.Seq != 12 {
+		t.Fatalf("stream ends with %q at seq %d, want the terminal campaign event at 12", last.Type, last.Seq)
+	}
+}

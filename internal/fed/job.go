@@ -1,46 +1,24 @@
 package fed
 
 import (
-	"context"
-	"encoding/json"
 	"sync"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/server"
-	"repro/internal/store"
 )
 
-// fedJob is one federated campaign: the coordinator's bookkeeping for a
-// submission it sharded across downstream daemons. Downstream events are
-// re-stamped under the coordinator's own per-job and global sequences — the
-// numbering clients resume by — and every event and state transition
-// write-throughs into the coordinator's store, so listings, SSE replay, and
-// firehose cursors survive coordinator restarts exactly like they do on a
-// single daemon.
+// fedJob is the coordinator's side of one federated campaign: the shard
+// scheduler's inputs and the merged results. The job's lifecycle, event
+// numbering, journal and streams are server's; downstream events are
+// re-stamped under the coordinator's own per-job and global sequences by
+// appending them to job, and detail adds the merged rows, shard map and
+// retry history to its status.
 type fedJob struct {
-	id   string
-	seq  int
-	kind string
+	job  *server.Job
 	req  server.CampaignRequest // boards already expanded into flat
 	flat []server.BoardSpec     // one single-replica spec per board, global order
 
-	ctx    context.Context
-	cancel context.CancelFunc
-	c      *Coordinator
-
-	mu       sync.Mutex
-	state    server.JobState
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	progress float64
-	// events is the job's full re-stamped log; federated jobs emit a few
-	// events per board, so the whole log stays in RAM for its lifetime.
-	// eventsBase is non-zero only for restored jobs, whose history lives in
-	// the journal and is paged on demand.
-	events     []server.JobEvent
-	eventsBase int
+	mu sync.Mutex
 	// boardDone marks boards that already counted toward progress, so a
 	// shard retried after a partial failure cannot double-count.
 	boardDone []bool
@@ -49,91 +27,29 @@ type fedJob struct {
 	agg       *engine.Aggregate
 	shards    []server.ShardStatus
 	retries   []server.ShardRetry
-	errMsg    string
-	notify    chan struct{}
-	restored  *server.JobStatus
-	// jnDegraded marks that a coordinator journal write for this job failed
-	// and the one-time journal_degraded marker was emitted; the job keeps
-	// running on the live stream alone.
-	jnDegraded bool
 }
 
-func (c *Coordinator) newFedJob(id string, seq int, req server.CampaignRequest, flat []server.BoardSpec) *fedJob {
-	ctx, cancel := context.WithCancel(c.baseCtx)
+func newFedJob(req server.CampaignRequest, flat []server.BoardSpec) *fedJob {
 	return &fedJob{
-		id: id, seq: seq, kind: req.Kind, req: req, flat: flat,
-		ctx: ctx, cancel: cancel, c: c,
-		state: server.JobQueued, created: time.Now(),
+		req: req, flat: flat,
 		boardDone: make([]bool, len(flat)),
 		results:   make([]server.BoardStatus, len(flat)),
-		notify:    make(chan struct{}),
 	}
 }
 
-func (j *fedJob) signalLocked() {
-	close(j.notify)
-	j.notify = make(chan struct{})
-}
-
-// appendEventLocked sequences ev, stamps its coordinator GSeq, and queues
-// the journal write; callers hold j.mu and must call j.journalEvent with
-// the returned event after unlocking.
-func (j *fedJob) appendEventLocked(ev server.JobEvent) server.JobEvent {
-	ev.Job = j.id
-	if ev.Progress < j.progress {
-		ev.Progress = j.progress
-	}
-	j.progress = ev.Progress
-	ev.Seq = j.eventsBase + len(j.events)
-	j.c.fh.append(&ev) // stamps ev.GSeq
-	j.events = append(j.events, ev)
-	j.signalLocked()
-	return ev
-}
-
-// journalEvent write-throughs one stamped event into the coordinator store.
-// Best-effort, like the daemon's journal: a full disk degrades restart
-// resume, never a live campaign.
-func (j *fedJob) journalEvent(ev server.JobEvent) {
-	payload, err := json.Marshal(&ev)
-	if err == nil {
-		err = j.c.cfg.Store.AppendJobEvents(j.id, []store.EventRecord{
-			{Job: j.id, Seq: ev.Seq, GSeq: ev.GSeq, Payload: payload},
-		})
-	}
-	if err != nil {
-		j.c.jnErrs.Add(1)
-		j.noteJournalDegraded()
-	}
-}
-
-// noteJournalDegraded appends the one-time journal_degraded marker after a
-// failed coordinator journal write: the job keeps running and live streams
-// learn its durable history has a gap. The marker draws a real Seq (live
-// SSE stays dense) and is itself journaled best-effort — the jnDegraded
-// flag stops the recursion if that write fails too. Terminal and replayed
-// jobs are skipped: their streams were already closed out.
-func (j *fedJob) noteJournalDegraded() {
+// detail is the job's status hook — the federation-visible part of "the
+// retry is surfaced in job detail": the shard map and retry history always,
+// and once the fan-in has folded them, the merged aggregate and board rows.
+func (j *fedJob) detail(st *server.JobStatus, full bool) {
 	j.mu.Lock()
-	if j.jnDegraded || j.restored != nil || j.state.Terminal() {
-		j.mu.Unlock()
-		return
+	defer j.mu.Unlock()
+	st.Shards = append([]server.ShardStatus(nil), j.shards...)
+	st.Retries = append([]server.ShardRetry(nil), j.retries...)
+	if full && j.agg != nil {
+		agg := *j.agg
+		st.Aggregate = &agg
+		st.BoardResults = append([]server.BoardStatus(nil), j.results...)
 	}
-	j.jnDegraded = true
-	out := j.appendEventLocked(server.JobEvent{
-		Type:  "journal_degraded",
-		Error: "journal write failed: event history may not survive a restart",
-	})
-	j.mu.Unlock()
-	j.journalEvent(out)
-}
-
-// appendEvent sequences, stamps, journals, and wakes streams in one call.
-func (j *fedJob) appendEvent(ev server.JobEvent) {
-	j.mu.Lock()
-	out := j.appendEventLocked(ev)
-	j.mu.Unlock()
-	j.journalEvent(out)
 }
 
 // boardEvent re-stamps one downstream board event under the coordinator's
@@ -152,123 +68,6 @@ func (j *fedJob) boardEvent(ev server.JobEvent, globalBoard int) {
 		}
 	}
 	ev.Progress = float64(j.doneCount) / float64(len(j.flat)) * 100
-	out := j.appendEventLocked(ev)
 	j.mu.Unlock()
-	j.journalEvent(out)
+	j.job.Append(ev)
 }
-
-// setRunning transitions queued → running (false when already cancelled).
-func (j *fedJob) setRunning() bool {
-	j.mu.Lock()
-	if j.state != server.JobQueued {
-		j.mu.Unlock()
-		return false
-	}
-	j.state = server.JobRunning
-	j.started = time.Now()
-	j.signalLocked()
-	j.mu.Unlock()
-	j.c.putJobMeta(j)
-	return true
-}
-
-// finish records the job's terminal state, appends the terminal campaign
-// event, and journals the final document.
-func (j *fedJob) finish(state server.JobState, errMsg string) {
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.state = state
-	j.finished = time.Now()
-	j.errMsg = errMsg
-	if state == server.JobDone {
-		j.progress = 100
-	}
-	// The bulk payload (an nn-inference submission's network and test set)
-	// is dead weight once terminal.
-	j.req.Net, j.req.TestSet = nil, nil
-	te := server.JobEvent{Type: "campaign", Progress: j.progress, State: state, Error: errMsg}
-	out := j.appendEventLocked(te)
-	j.mu.Unlock()
-	j.journalEvent(out)
-	j.c.putJobMeta(j)
-	j.c.retainTerminal(j.id)
-}
-
-func (j *fedJob) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state.Terminal()
-}
-
-// status snapshots the job for the wire, shard map and retry history
-// included — the federation-visible part of "the retry is surfaced in job
-// detail".
-func (j *fedJob) status(includeResults bool) server.JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.restored != nil {
-		st := *j.restored
-		if !includeResults {
-			st.Aggregate = nil
-			st.BoardResults = nil
-		}
-		return st
-	}
-	st := server.JobStatus{
-		ID: j.id, Kind: j.kind, State: j.state,
-		Boards: len(j.flat), Progress: j.progress, Created: j.created,
-		Error: j.errMsg,
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		st.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.Finished = &t
-	}
-	st.Shards = append([]server.ShardStatus(nil), j.shards...)
-	st.Retries = append([]server.ShardRetry(nil), j.retries...)
-	if includeResults && j.agg != nil {
-		agg := *j.agg
-		st.Aggregate = &agg
-		st.BoardResults = append([]server.BoardStatus(nil), j.results...)
-	}
-	return st
-}
-
-// eventsSince returns the events at sequence >= from, whether the job is
-// terminal, and a change channel — the same drain-then-wait triple the
-// daemon serves SSE from. History below the in-memory base (a restored
-// job's entire log) is paged from the coordinator journal.
-func (j *fedJob) eventsSince(from int) ([]server.JobEvent, bool, <-chan struct{}) {
-	j.mu.Lock()
-	base := j.eventsBase
-	total := base + len(j.events)
-	terminal := j.state.Terminal()
-	notify := j.notify
-	if from < 0 || from > total {
-		from = 0
-	}
-	if from >= base {
-		var evs []server.JobEvent
-		if from < total {
-			evs = append(evs, j.events[from-base:]...)
-		}
-		j.mu.Unlock()
-		return evs, terminal, notify
-	}
-	j.mu.Unlock()
-	if evs := j.c.readJobEvents(j.id, from, eventPageSize); len(evs) > 0 {
-		return evs, terminal, notify
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]server.JobEvent(nil), j.events...), terminal, notify
-}
-
-// eventPageSize bounds one journal page of a deep SSE resume.
-const eventPageSize = 512

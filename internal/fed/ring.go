@@ -6,14 +6,13 @@ import (
 	"sort"
 )
 
-// defaultVNodes is how many virtual nodes each daemon contributes to the
-// ring when Config.VNodes is zero. 64 keeps the expected per-daemon load
-// within a few percent of even for small federations without making owner
-// lookups noticeably slower.
-const defaultVNodes = 64
+// vnodes is how many virtual nodes each daemon contributes to the ring. 64
+// keeps the expected per-daemon load within a few percent of even for
+// small federations without making owner lookups noticeably slower.
+const vnodes = 64
 
 // ring is a consistent-hash ring over daemon base URLs. Each daemon owns
-// VNodes points on a 64-bit circle; a board keyed by (platform, serial)
+// vnodes points on a 64-bit circle; a board keyed by (platform, serial)
 // belongs to the first daemon point at or clockwise of the key's hash. The
 // assignment is a pure function of the daemon set and the key — every
 // coordinator over the same federation shards a campaign identically, and
@@ -28,10 +27,7 @@ type ringPoint struct {
 	daemon string
 }
 
-func newRing(daemons []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
+func newRing(daemons []string) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(daemons)*vnodes)}
 	for _, d := range daemons {
 		for v := 0; v < vnodes; v++ {

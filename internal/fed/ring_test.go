@@ -3,8 +3,8 @@ package fed
 import "testing"
 
 func TestRingDeterministicAcrossOrder(t *testing.T) {
-	a := newRing([]string{"http://a", "http://b", "http://c"}, 0)
-	b := newRing([]string{"http://c", "http://a", "http://b"}, 0)
+	a := newRing([]string{"http://a", "http://b", "http://c"})
+	b := newRing([]string{"http://c", "http://a", "http://b"})
 	keys := []string{
 		boardKey("VC707", "VC707-00FA"),
 		boardKey("KC705-A", "KC705-013B"),
@@ -20,7 +20,7 @@ func TestRingDeterministicAcrossOrder(t *testing.T) {
 
 func TestRingSkipsDeadAndSpreadsLoad(t *testing.T) {
 	daemons := []string{"http://a", "http://b", "http://c"}
-	r := newRing(daemons, 0)
+	r := newRing(daemons)
 	counts := map[string]int{}
 	for i := 0; i < 300; i++ {
 		k := boardKey("VC707", serialN(i))

@@ -116,13 +116,22 @@ func (s *sched) pop(d string, healthy func(string) bool) (ch *chunk, stolen bool
 	}
 }
 
-// runJob executes one federated campaign to its terminal state.
+// errCancelled is the terminal error of a cancelled federated campaign.
+var errCancelled = errors.New("campaign cancelled")
+
+// runJob executes one federated campaign to its terminal state, unless it
+// was cancelled while queued. Finish releases the job context, so the
+// per-job watcher goroutine exits with it.
 func (c *Coordinator) runJob(j *fedJob) {
-	// Completion releases the job context so the per-job watcher goroutines
-	// exit; the downstream streams are already closed by then.
-	defer j.cancel()
-	if j.ctx.Err() != nil || !j.setRunning() {
-		j.finish(server.JobCancelled, "campaign cancelled")
+	// The request's bulk payload (an nn-inference network and test set) is
+	// dead weight once the shards are done; the status hook keeps j alive.
+	defer func() { j.req = server.CampaignRequest{} }()
+	ctx := j.job.Context()
+	if !j.job.SetRunning() {
+		return
+	}
+	if ctx.Err() != nil {
+		j.job.Finish(errCancelled, nil)
 		return
 	}
 
@@ -138,7 +147,7 @@ func (c *Coordinator) runJob(j *fedJob) {
 			o = c.ring.owner(key, nil)
 		}
 		if o == "" {
-			j.finish(server.JobFailed, "federation has no downstream daemons")
+			j.job.Finish(errors.New("federation has no downstream daemons"), nil)
 			return
 		}
 		owners[i] = o
@@ -166,7 +175,7 @@ func (c *Coordinator) runJob(j *fedJob) {
 		defer t.Stop()
 		for {
 			select {
-			case <-j.ctx.Done():
+			case <-ctx.Done():
 				s.stop()
 				return
 			case <-t.C:
@@ -191,8 +200,8 @@ func (c *Coordinator) runJob(j *fedJob) {
 	}
 	wg.Wait()
 
-	if j.ctx.Err() != nil {
-		j.finish(server.JobCancelled, "campaign cancelled")
+	if ctx.Err() != nil {
+		j.job.Finish(errCancelled, nil)
 		return
 	}
 	// Every chunk merged or failed its boards: fold the wire results into
@@ -202,12 +211,12 @@ func (c *Coordinator) runJob(j *fedJob) {
 	j.mu.Lock()
 	samples := make([]engine.BoardSample, len(j.flat))
 	for i := range j.flat {
-		samples[i] = sampleFromStatus(j.kind, j.results[i])
+		samples[i] = server.SampleFromStatus(j.req.Kind, j.results[i])
 	}
 	agg := engine.AggregateSamples(samples)
 	j.agg = &agg
 	j.mu.Unlock()
-	j.finish(server.JobDone, "")
+	j.job.Finish(nil, nil)
 }
 
 // runChunk executes one chunk on one daemon: submit the chunk's boards as a
@@ -226,7 +235,7 @@ func (c *Coordinator) runChunk(j *fedJob, s *sched, daemon string, ch *chunk, st
 	for attempt := 0; ; attempt++ {
 		var err error
 		sub, err = func() (server.JobStatus, error) {
-			ctx, cancel := c.callCtx(j.ctx)
+			ctx, cancel := c.callCtx(j.job.Context())
 			defer cancel()
 			return cl.Submit(ctx, req)
 		}()
@@ -240,7 +249,7 @@ func (c *Coordinator) runChunk(j *fedJob, s *sched, daemon string, ch *chunk, st
 		// rides the same path — retried in place, invisible to the job.
 		var se *server.APIStatusError
 		if errors.As(err, &se) && se.StatusCode == http.StatusServiceUnavailable && attempt < 1000 {
-			if !bo.sleep(j.ctx) {
+			if !bo.sleep(j.job.Context()) {
 				s.done()
 				return
 			}
@@ -252,7 +261,7 @@ func (c *Coordinator) runChunk(j *fedJob, s *sched, daemon string, ch *chunk, st
 	j.noteShard(daemon, len(ch.boards), sub.ID, stolen)
 	final, err := c.waitChunk(j, cl, daemon, sub.ID, ch)
 	if err != nil {
-		if j.ctx.Err() != nil {
+		if j.job.Context().Err() != nil {
 			// Cancelled above: stop the orphaned downstream run, best-effort.
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			cl.Cancel(ctx, sub.ID)
@@ -288,7 +297,7 @@ func (c *Coordinator) waitChunk(j *fedJob, cl *server.Client, daemon, jobID stri
 	bo := newBackoff(streamBackoffBase, streamBackoffCap)
 	for {
 		progressed := false
-		err := cl.EventsFrom(j.ctx, jobID, after, func(ev server.JobEvent) error {
+		err := cl.EventsFrom(j.job.Context(), jobID, after, func(ev server.JobEvent) error {
 			if ev.Seq > after {
 				after = ev.Seq
 				progressed = true
@@ -306,9 +315,9 @@ func (c *Coordinator) waitChunk(j *fedJob, cl *server.Client, daemon, jobID stri
 			return nil
 		})
 		if err == nil {
-			return c.finalStatus(j.ctx, cl, daemon, jobID)
+			return c.finalStatus(j.job.Context(), cl, daemon, jobID)
 		}
-		if j.ctx.Err() != nil {
+		if j.job.Context().Err() != nil {
 			return server.JobStatus{}, err
 		}
 		var se *server.APIStatusError
@@ -324,8 +333,8 @@ func (c *Coordinator) waitChunk(j *fedJob, cl *server.Client, daemon, jobID stri
 		if breaks > c.cfg.StreamRetries {
 			return server.JobStatus{}, fmt.Errorf("stream broke %d times without progress: %w", breaks, err)
 		}
-		if !bo.sleep(j.ctx) {
-			return server.JobStatus{}, j.ctx.Err()
+		if !bo.sleep(j.job.Context()) {
+			return server.JobStatus{}, j.job.Context().Err()
 		}
 	}
 }
@@ -435,9 +444,8 @@ func (j *fedJob) noteShard(daemon string, boards int, downstreamJob string, stol
 func (j *fedJob) noteRetry(from, to string, boards int, reason string) {
 	j.mu.Lock()
 	j.retries = append(j.retries, server.ShardRetry{From: from, To: to, Boards: boards, Reason: reason})
-	out := j.appendEventLocked(server.JobEvent{Type: "retry", Error: reason})
 	j.mu.Unlock()
-	j.journalEvent(out)
+	j.job.Append(server.JobEvent{Type: "retry", Error: reason})
 }
 
 // mergeResults lands one successful chunk's board rows at their global
@@ -469,65 +477,4 @@ func (j *fedJob) failBoards(ch *chunk, reason string) {
 		j.mu.Unlock()
 		j.boardEvent(server.JobEvent{Type: "failed", Platform: spec.Platform, Serial: spec.Serial, Error: reason}, g)
 	}
-}
-
-// sampleFromStatus rebuilds a board's aggregate contribution from its wire
-// row — the inverse of the daemon's BoardStatus projection, matched case by
-// case against engine.BoardResult.Sample so a federated fold is
-// bit-identical to the in-process one.
-func sampleFromStatus(kind string, bs server.BoardStatus) engine.BoardSample {
-	s := engine.BoardSample{Failed: bs.Error != "", FromCache: bs.FromCache}
-	if s.Failed {
-		return s
-	}
-	switch kind {
-	case engine.Characterization.String():
-		// Sweep final level + the board's FVM zero-fault share.
-		if bs.VcrashV != 0 {
-			s.Faults = []float64{bs.FaultsPerMbit}
-			s.Vmins = []float64{bs.VminV}
-			s.Vcrashes = []float64{bs.VcrashV}
-		}
-		s.ZeroShares = []float64{bs.ZeroShare}
-	case engine.TemperatureStudy.String():
-		// The daemon reports the last (hottest) sweep, exactly what
-		// finalSweep feeds the in-process aggregate.
-		if bs.VcrashV != 0 {
-			s.Faults = []float64{bs.FaultsPerMbit}
-			s.Vmins = []float64{bs.VminV}
-			s.Vcrashes = []float64{bs.VcrashV}
-		}
-	case engine.KindPattern.String():
-		if len(bs.Patterns) > 0 {
-			worst := bs.Patterns[0].FaultsPerMbit
-			for _, pr := range bs.Patterns[1:] {
-				if pr.FaultsPerMbit > worst {
-					worst = pr.FaultsPerMbit
-				}
-			}
-			s.Faults = []float64{worst}
-		}
-	case engine.KindThresholds.String():
-		// The wire Vmin/Vcrash of a threshold job are the BRAM rail's.
-		s.Vmins = []float64{bs.VminV}
-		s.Vcrashes = []float64{bs.VcrashV}
-	case engine.NNInference.String():
-		if n := len(bs.Inference); n > 0 {
-			s.InferErrs = []float64{bs.Inference[n-1].Error}
-		}
-	case engine.KindMitigation.String():
-		// Per-arm scalars in the board's arm order, plus the unprotected
-		// arm's deepest level into the fleet's faults/Mbit spread — the
-		// exact shape BoardResult.Sample builds in process.
-		for i := range bs.Mitigation {
-			arm := &bs.Mitigation[i]
-			s.Mitigation = append(s.Mitigation, engine.MitigationSample{
-				Arm: arm.Arm, MinSafeV: arm.MinSafeV, EnergySavings: arm.EnergySavings,
-			})
-			if arm.Arm == engine.ArmUnprotected && len(arm.Levels) > 0 {
-				s.Faults = append(s.Faults, arm.Levels[len(arm.Levels)-1].FaultsPerMbit)
-			}
-		}
-	}
-	return s
 }

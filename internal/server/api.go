@@ -538,6 +538,125 @@ type InferencePoint struct {
 	WeightFault int     `json:"weight_fault"`
 }
 
+// boardRow projects one board's engine result onto its wire row.
+// SampleFromStatus is its inverse for the fleet aggregate: the two are kept
+// side by side so a kind that changes one changes the other.
+func boardRow(r *engine.BoardResult) BoardStatus {
+	bs := BoardStatus{
+		Board: r.Board, Platform: r.Platform, Serial: r.Serial, FromCache: r.FromCache,
+	}
+	if r.Err != nil {
+		bs.Error = r.Err.Error()
+	}
+	// Temperature studies leave Sweep nil and fill TempSweeps; the last
+	// (hottest) sweep is the one the aggregate reports too.
+	s := r.Sweep
+	if s == nil && len(r.TempSweeps) > 0 {
+		s = r.TempSweeps[len(r.TempSweeps)-1]
+	}
+	if s != nil && len(s.Levels) > 0 {
+		bs.FaultsPerMbit = s.Final().FaultsPerMbit
+		bs.VminV = engine.ObservedVmin(s)
+		bs.VcrashV = s.Final().V
+	}
+	if th := r.BRAMThresholds; th != nil {
+		bs.VminV, bs.VcrashV = th.Vmin, th.Vcrash
+	}
+	if th := r.IntThresholds; th != nil {
+		bs.IntVminV, bs.IntVcrashV = th.Vmin, th.Vcrash
+	}
+	if r.FVM != nil {
+		bs.ZeroShare = r.FVM.ZeroShare()
+	}
+	for _, pr := range r.Patterns {
+		bs.Patterns = append(bs.Patterns, PatternStatus{
+			Name: pr.Name, FaultsPerMbit: pr.FaultsPerMbit, Flip10Share: pr.Flip10Share,
+		})
+	}
+	for _, ir := range r.Inference {
+		bs.Inference = append(bs.Inference, InferencePoint{
+			V: ir.V, Error: ir.Error, WeightFault: ir.WeightFault,
+		})
+	}
+	for ai := range r.Mitigation {
+		arm := &r.Mitigation[ai]
+		as := MitigationArmStatus{
+			Arm: arm.Arm, MinSafeV: arm.MinSafeV, EnergySavings: arm.EnergySavings,
+		}
+		for _, pt := range arm.Levels {
+			as.Levels = append(as.Levels, MitigationLevel{
+				V: pt.V, FaultsPerMbit: pt.FaultsPerMbit, WordErrors: pt.WordErrors,
+				Accuracy: pt.Accuracy, EnergyJ: pt.EnergyJ, FreqScale: pt.FreqScale,
+				Corrected: pt.Corrected, Detected: pt.Detected, Silent: pt.Silent,
+			})
+		}
+		bs.Mitigation = append(bs.Mitigation, as)
+	}
+	return bs
+}
+
+// SampleFromStatus rebuilds a board's aggregate contribution from its wire
+// row of a campaign of the named kind — the inverse of boardRow, matched
+// case by case against engine.BoardResult.Sample, so a federation
+// coordinator folding shard rows gets the aggregate a single daemon
+// computes, bit for bit.
+func SampleFromStatus(kind string, bs BoardStatus) engine.BoardSample {
+	s := engine.BoardSample{Failed: bs.Error != "", FromCache: bs.FromCache}
+	if s.Failed {
+		return s
+	}
+	switch kind {
+	case engine.Characterization.String():
+		// Sweep final level + the board's FVM zero-fault share.
+		if bs.VcrashV != 0 {
+			s.Faults = []float64{bs.FaultsPerMbit}
+			s.Vmins = []float64{bs.VminV}
+			s.Vcrashes = []float64{bs.VcrashV}
+		}
+		s.ZeroShares = []float64{bs.ZeroShare}
+	case engine.TemperatureStudy.String():
+		// The row reports the last (hottest) sweep, exactly what
+		// finalSweep feeds the in-process aggregate.
+		if bs.VcrashV != 0 {
+			s.Faults = []float64{bs.FaultsPerMbit}
+			s.Vmins = []float64{bs.VminV}
+			s.Vcrashes = []float64{bs.VcrashV}
+		}
+	case engine.KindPattern.String():
+		if len(bs.Patterns) > 0 {
+			worst := bs.Patterns[0].FaultsPerMbit
+			for _, pr := range bs.Patterns[1:] {
+				if pr.FaultsPerMbit > worst {
+					worst = pr.FaultsPerMbit
+				}
+			}
+			s.Faults = []float64{worst}
+		}
+	case engine.KindThresholds.String():
+		// The wire Vmin/Vcrash of a threshold job are the BRAM rail's.
+		s.Vmins = []float64{bs.VminV}
+		s.Vcrashes = []float64{bs.VcrashV}
+	case engine.NNInference.String():
+		if n := len(bs.Inference); n > 0 {
+			s.InferErrs = []float64{bs.Inference[n-1].Error}
+		}
+	case engine.KindMitigation.String():
+		// Per-arm scalars in the board's arm order, plus the unprotected
+		// arm's deepest level into the fleet's faults/Mbit spread — the
+		// exact shape BoardResult.Sample builds in process.
+		for i := range bs.Mitigation {
+			arm := &bs.Mitigation[i]
+			s.Mitigation = append(s.Mitigation, engine.MitigationSample{
+				Arm: arm.Arm, MinSafeV: arm.MinSafeV, EnergySavings: arm.EnergySavings,
+			})
+			if arm.Arm == engine.ArmUnprotected && len(arm.Levels) > 0 {
+				s.Faults = append(s.Faults, arm.Levels[len(arm.Levels)-1].FaultsPerMbit)
+			}
+		}
+	}
+	return s
+}
+
 // JobStatus is the wire form of a job, returned by submit and job queries.
 type JobStatus struct {
 	ID       string   `json:"id"`

@@ -5,11 +5,7 @@ import (
 	"sync"
 )
 
-// defaultFirehoseBuffer bounds the firehose's in-memory replay log when
-// Config.FirehoseBuffer is zero.
-const defaultFirehoseBuffer = 8192
-
-// firehose is the server-wide event multiplexer behind GET /v1/events:
+// firehose is the job table's event multiplexer behind GET /v1/events:
 // every job event, tagged with its job id and stamped with a global
 // sequence number, in one totally ordered stream. The global sequence is
 // what makes the stream resumable — it rides each event into the job
@@ -31,9 +27,6 @@ type firehose struct {
 }
 
 func newFirehose(max int) *firehose {
-	if max <= 0 {
-		max = defaultFirehoseBuffer
-	}
 	return &firehose{next: 1, max: max, notify: make(chan struct{})}
 }
 

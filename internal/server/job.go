@@ -1,45 +1,41 @@
 package server
 
 import (
+	"cmp"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
-
-	"repro/internal/engine"
-	"repro/internal/platform"
 )
 
-// Job is one queued or running campaign. All mutable state is guarded by mu;
+// Job is one campaign's lifecycle and event log. The daemon and the
+// federation coordinator share it: they differ only in what runs the job
+// (the engine fleet, or the shard scheduler) and in the detail hook that
+// adds their results to its status. All mutable state is guarded by mu;
 // notify is closed and replaced on every change, which is what lets any
 // number of SSE streams wait for "something new" without polling. Every
-// event additionally flows through the server's firehose (which stamps it
-// with a global sequence) and, when journaling is on, write-throughs the
-// job's document into the store.
+// event additionally flows through the table's firehose (which stamps it
+// with a global sequence) and is written through to the journal.
 type Job struct {
-	id        string
-	seq       int // table-assigned creation order; ids are for the wire
-	kind      engine.CampaignKind
-	campaign  engine.Campaign
-	inventory []platform.Platform
+	id     string
+	seq    int // table-assigned creation order; ids are for the wire
+	kind   string
+	boards int
 	// ctx/cancel exist from submission: a DELETE can always cancel, whether
 	// the job is still queued, mid-handoff, or running.
 	ctx    context.Context
 	cancel context.CancelFunc
-
-	fh *firehose // stamps global sequences; never nil on a served job
-	jn *journal  // nil when journaling is disabled
+	t      *JobTable
 	// jnMu serializes this job's journal writes with their snapshots (and
 	// with eviction's record delete); it nests OUTSIDE mu and must never
 	// be taken while holding it. jnDropped is guarded by jnMu.
 	jnMu      sync.Mutex
 	jnDropped bool
-	// onTerminal runs once, after the terminal transition is visible, so
-	// the table can evict finished history and the server can GC the store
-	// without either layer reaching into the other's locks.
-	onTerminal func()
 
 	mu       sync.Mutex
 	state    JobState
@@ -48,37 +44,34 @@ type Job struct {
 	finished time.Time
 	progress float64
 	// events is the in-memory tail of the job's event log, holding
-	// sequences [eventsBase, eventsBase+len(events)). With journaling on,
-	// the tail is trimmed to memWindow once events are durably appended —
-	// older sequences are paged back from the journal on demand — so a
-	// long campaign's history does not live in RAM twice. Without a
-	// journal the tail is never trimmed and base stays 0.
+	// sequences [eventsBase, eventsBase+len(events)). The tail is trimmed
+	// to the table's window once events are durably appended — older
+	// sequences are paged back from the journal on demand — so a long
+	// campaign's history does not live in RAM twice.
 	events     []JobEvent
 	eventsBase int
 	// jnPending queues events appended under mu but not yet written to the
-	// journal; journal.sync drains it in order. Always empty when jn is nil.
+	// journal; journal.sync drains it in order.
 	jnPending []JobEvent
-	memWindow int
 	// jnDegraded marks that a journal write for this job has failed and the
 	// one-time journal_degraded marker event has been emitted. The job keeps
 	// running — durability degrades, service does not.
 	jnDegraded bool
-	result     *engine.CampaignResult
 	err        error
-	notify     chan struct{}
+	// detail adds what the runner knows to a status snapshot: the daemon's
+	// board rows, or the coordinator's merged rows, shards and retries. It
+	// is called without mu held, so it may take the runner's own locks.
+	detail func(st *JobStatus, full bool)
+	notify chan struct{}
 	// restored holds the journaled status snapshot of a job replayed from
 	// a previous process. Such jobs never run again; their status is
-	// served from this snapshot instead of recomputed from engine results.
+	// served from this snapshot instead of recomputed from their results.
 	restored *JobStatus
 }
 
-func newJob(id string, c engine.Campaign, inv []platform.Platform, ctx context.Context, cancel context.CancelFunc, fh *firehose, jn *journal, window int) *Job {
-	return &Job{
-		id: id, kind: c.Kind, campaign: c, inventory: inv, ctx: ctx, cancel: cancel,
-		fh: fh, jn: jn, memWindow: window,
-		state: JobQueued, created: time.Now(), notify: make(chan struct{}),
-	}
-}
+// Context is the job's context: cancelled by DELETE, by shutdown, and once
+// the job is terminal.
+func (j *Job) Context() context.Context { return j.ctx }
 
 // signalLocked wakes every waiter; callers hold j.mu.
 func (j *Job) signalLocked() {
@@ -86,13 +79,32 @@ func (j *Job) signalLocked() {
 	j.notify = make(chan struct{})
 }
 
-// queueJournalLocked enqueues one event for the journal; callers hold j.mu
-// and must call j.jn.sync(j) after releasing it. With journaling off the
-// queue must stay empty — nothing would ever drain it.
-func (j *Job) queueJournalLocked(ev JobEvent) {
-	if j.jn != nil {
-		j.jnPending = append(j.jnPending, ev)
+// appendLocked stamps ev with the job's next Seq and the next global
+// sequence, queues it for the journal, and wakes the streams; callers hold
+// j.mu and must call j.t.jn.sync(j) after releasing it.
+func (j *Job) appendLocked(ev JobEvent) {
+	ev.Job = j.id
+	ev.Seq = j.eventsBase + len(j.events)
+	// Concurrent boards race to emit; monotonicize so dashboards never see
+	// the bar move backwards.
+	if ev.Progress < j.progress {
+		ev.Progress = j.progress
 	}
+	j.progress = ev.Progress
+	j.t.fh.append(&ev) // stamps ev.GSeq; fh.mu nests inside j.mu everywhere
+	j.events = append(j.events, ev)
+	j.jnPending = append(j.jnPending, ev)
+	j.signalLocked()
+}
+
+// Append records one event under the job's numbering — its Job, Seq and
+// GSeq are overwritten and its progress never moves backwards — journals
+// it, and wakes the streams.
+func (j *Job) Append(ev JobEvent) {
+	j.mu.Lock()
+	j.appendLocked(ev)
+	j.mu.Unlock()
+	j.t.jn.sync(j)
 }
 
 // noteJournalDegraded appends the one-time journal_degraded marker event
@@ -105,37 +117,28 @@ func (j *Job) queueJournalLocked(ev JobEvent) {
 // their streams have already been told the job's story ended.
 func (j *Job) noteJournalDegraded() {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.jnDegraded || j.restored != nil || j.state.Terminal() {
-		j.mu.Unlock()
 		return
 	}
 	j.jnDegraded = true
-	ev := JobEvent{
-		Seq: j.eventsBase + len(j.events), Type: "journal_degraded", Job: j.id,
-		Progress: j.progress,
-		Error:    "journal write failed: event history may not survive a restart",
-	}
-	j.fh.append(&ev)
-	j.events = append(j.events, ev)
-	j.queueJournalLocked(ev)
-	j.signalLocked()
-	j.mu.Unlock()
+	j.appendLocked(JobEvent{
+		Type:  "journal_degraded",
+		Error: "journal write failed: event history may not survive a restart",
+	})
 }
 
 // trimJournaled drops in-memory events below upto (the journal's durable
-// frontier) beyond the configured window, so RAM holds a bounded recent
-// tail and the journal serves the rest. Never trims past what is durable:
-// an SSE replay must not depend on a write that failed.
+// frontier) beyond the table's window, so RAM holds a bounded recent tail
+// and the journal serves the rest. Never trims past what is durable: an
+// SSE replay must not depend on a write that failed.
 func (j *Job) trimJournaled(upto int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.memWindow <= 0 {
+	if j.t.window <= 0 {
 		return
 	}
-	cut := j.eventsBase + len(j.events) - j.memWindow
-	if cut > upto {
-		cut = upto
-	}
+	cut := min(j.eventsBase+len(j.events)-j.t.window, upto)
 	if cut <= j.eventsBase {
 		return
 	}
@@ -143,9 +146,9 @@ func (j *Job) trimJournaled(upto int) {
 	j.eventsBase = cut
 }
 
-// setRunning transitions queued → running. It reports false when the job was
-// cancelled while queued, in which case the worker must skip it.
-func (j *Job) setRunning() bool {
+// SetRunning transitions queued → running. It reports false when the job
+// was cancelled while queued, in which case the runner must skip it.
+func (j *Job) SetRunning() bool {
 	j.mu.Lock()
 	if j.state != JobQueued {
 		j.mu.Unlock()
@@ -155,64 +158,27 @@ func (j *Job) setRunning() bool {
 	j.started = time.Now()
 	j.signalLocked()
 	j.mu.Unlock()
-	j.jn.putMeta(j)
+	j.t.jn.putMeta(j)
 	return true
 }
 
-// appendEngineEvent records one engine event under the server's sequence
-// numbering, pushes it through the firehose, journals the job, and wakes
-// the streams.
-func (j *Job) appendEngineEvent(ev engine.Event) {
-	je := JobEvent{
-		Type:       ev.Kind.String(),
-		Job:        j.id,
-		Board:      ev.Board,
-		Platform:   ev.Platform,
-		Serial:     ev.Serial,
-		FromCache:  ev.FromCache,
-		Faults:     ev.Faults,
-		V:          ev.V,
-		InferError: ev.InferError,
-		Progress:   ev.Progress,
-	}
-	if ev.Err != nil {
-		je.Error = ev.Err.Error()
-	}
-	j.mu.Lock()
-	// Concurrent boards race to emit; monotonicize so dashboards never see
-	// the bar move backwards.
-	if je.Progress < j.progress {
-		je.Progress = j.progress
-	}
-	j.progress = je.Progress
-	je.Seq = j.eventsBase + len(j.events)
-	j.fh.append(&je) // stamps je.GSeq; fh.mu nests inside j.mu everywhere
-	j.events = append(j.events, je)
-	j.queueJournalLocked(je)
-	j.signalLocked()
-	j.mu.Unlock()
-	j.jn.sync(j)
-}
-
-// finish records the campaign outcome, appends the terminal event, wakes
-// the streams one last time, journals the terminal document, and fires the
-// completion hook.
+// Finish records the outcome of a running job, appends the terminal event,
+// and journals the terminal status. A non-nil detail replaces the status
+// hook in the same step, so no snapshot shows the results without the
+// terminal state.
 //
-// Cancellation is classified by intent, not by error identity: an engine
-// error that wraps context.DeadlineExceeded, or a board-level error that
-// does not wrap either sentinel at all, still means "the job's context was
-// ended on purpose" whenever j.ctx is done — reporting such a job as
-// failed would send an operator hunting for a fault that was actually
-// their own DELETE.
-func (j *Job) finish(res *engine.CampaignResult, err error) {
+// Cancellation is classified by intent, not by error identity: an error
+// that wraps context.DeadlineExceeded, or a board-level error that does not
+// wrap either sentinel at all, still means "the job's context was ended on
+// purpose" whenever j.ctx is done — reporting such a job as failed would
+// send an operator hunting for a fault that was actually their own DELETE.
+func (j *Job) Finish(err error, detail func(*JobStatus, bool)) {
 	j.mu.Lock()
 	j.finished = time.Now()
-	j.result = res
 	j.err = err
-	// The bulk inference payload (network words + test set) is dead weight
-	// once the job is terminal; drop the job's copy so finished history
-	// entries don't pin megabytes each. The engine ran on its own copy.
-	j.campaign.Net, j.campaign.TestX, j.campaign.TestY = nil, nil, nil
+	if detail != nil {
+		j.detail = detail
+	}
 	switch {
 	case err == nil:
 		j.state = JobDone
@@ -224,28 +190,17 @@ func (j *Job) finish(res *engine.CampaignResult, err error) {
 	default:
 		j.state = JobFailed
 	}
-	te := JobEvent{
-		Seq: j.eventsBase + len(j.events), Type: "campaign", Job: j.id,
-		Progress: j.progress, State: j.state,
-	}
+	te := JobEvent{Type: "campaign", State: j.state}
 	if err != nil {
 		te.Error = err.Error()
 	}
-	j.fh.append(&te)
-	j.events = append(j.events, te)
-	j.queueJournalLocked(te)
-	j.signalLocked()
+	j.appendLocked(te)
 	j.mu.Unlock()
-	j.jn.sync(j)
-	j.jn.putMeta(j)
-	j.jn.retainTerminal(j.id)
-	if j.onTerminal != nil {
-		j.onTerminal()
-	}
+	j.end()
 }
 
 // markCancelled flips a still-queued job straight to cancelled (running jobs
-// go through finish when RunCampaign returns ctx.Err()).
+// go through Finish when their runner sees the cancelled context).
 func (j *Job) markCancelled() {
 	j.mu.Lock()
 	if j.state != JobQueued {
@@ -254,40 +209,41 @@ func (j *Job) markCancelled() {
 	}
 	j.state = JobCancelled
 	j.finished = time.Now()
-	j.campaign.Net, j.campaign.TestX, j.campaign.TestY = nil, nil, nil
-	te := JobEvent{
-		Seq: j.eventsBase + len(j.events), Type: "campaign", Job: j.id, Progress: j.progress,
-		State: JobCancelled, Error: context.Canceled.Error(),
-	}
-	j.fh.append(&te)
-	j.events = append(j.events, te)
-	j.queueJournalLocked(te)
-	j.signalLocked()
+	j.appendLocked(JobEvent{Type: "campaign", State: JobCancelled, Error: context.Canceled.Error()})
 	j.mu.Unlock()
-	j.jn.sync(j)
-	j.jn.putMeta(j)
-	j.jn.retainTerminal(j.id)
-	if j.onTerminal != nil {
-		j.onTerminal()
-	}
+	j.end()
 }
 
-// status snapshots the job for the wire. includeResults controls whether
-// the aggregate and per-board rows ride along: detail endpoints want them,
-// but the jobs listing would otherwise ship O(jobs × boards) payload on
-// every dashboard poll.
-func (j *Job) status(includeResults bool) JobStatus {
+// end settles a job that just turned terminal: its last events and status
+// are journaled, retention applies, its context is released, and the table
+// may evict finished history.
+func (j *Job) end() {
+	j.t.jn.sync(j)
+	j.t.jn.putMeta(j)
+	j.t.jn.retainTerminal(j.id)
+	j.cancel()
+	j.t.sweep()
+}
+
+// terminal reports the job's state under its own lock.
+func (j *Job) terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.statusLocked(includeResults)
+	return j.state.Terminal()
 }
 
-func (j *Job) statusLocked(includeResults bool) JobStatus {
+// status snapshots the job for the wire. full controls whether the
+// aggregate and per-board rows ride along: detail endpoints want them, but
+// the jobs listing would otherwise ship O(jobs × boards) payload on every
+// dashboard poll.
+func (j *Job) status(full bool) JobStatus {
+	j.mu.Lock()
 	if j.restored != nil {
 		// Replayed from the journal: the snapshot is the truth — the
-		// engine results that produced it belong to a dead process.
+		// results that produced it belong to a dead process.
 		st := *j.restored
-		if !includeResults {
+		j.mu.Unlock()
+		if !full {
 			st.Aggregate = nil
 			st.BoardResults = nil
 		}
@@ -295,9 +251,9 @@ func (j *Job) statusLocked(includeResults bool) JobStatus {
 	}
 	st := JobStatus{
 		ID:       j.id,
-		Kind:     j.kind.String(),
+		Kind:     j.kind,
 		State:    j.state,
-		Boards:   len(j.inventory),
+		Boards:   j.boards,
 		Progress: j.progress,
 		Created:  j.created,
 	}
@@ -312,65 +268,19 @@ func (j *Job) statusLocked(includeResults bool) JobStatus {
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
-	if j.result != nil && includeResults {
-		agg := j.result.Agg
-		st.Aggregate = &agg
-		for i := range j.result.Boards {
-			r := &j.result.Boards[i]
-			bs := BoardStatus{
-				Board: r.Board, Platform: r.Platform, Serial: r.Serial, FromCache: r.FromCache,
-			}
-			if r.Err != nil {
-				bs.Error = r.Err.Error()
-			}
-			// Temperature studies leave Sweep nil and fill TempSweeps; the
-			// last (hottest) sweep is the one the aggregate reports too.
-			s := r.Sweep
-			if s == nil && len(r.TempSweeps) > 0 {
-				s = r.TempSweeps[len(r.TempSweeps)-1]
-			}
-			if s != nil && len(s.Levels) > 0 {
-				bs.FaultsPerMbit = s.Final().FaultsPerMbit
-				bs.VminV = engine.ObservedVmin(s)
-				bs.VcrashV = s.Final().V
-			}
-			if th := r.BRAMThresholds; th != nil {
-				bs.VminV, bs.VcrashV = th.Vmin, th.Vcrash
-			}
-			if th := r.IntThresholds; th != nil {
-				bs.IntVminV, bs.IntVcrashV = th.Vmin, th.Vcrash
-			}
-			if r.FVM != nil {
-				bs.ZeroShare = r.FVM.ZeroShare()
-			}
-			for _, pr := range r.Patterns {
-				bs.Patterns = append(bs.Patterns, PatternStatus{
-					Name: pr.Name, FaultsPerMbit: pr.FaultsPerMbit, Flip10Share: pr.Flip10Share,
-				})
-			}
-			for _, ir := range r.Inference {
-				bs.Inference = append(bs.Inference, InferencePoint{
-					V: ir.V, Error: ir.Error, WeightFault: ir.WeightFault,
-				})
-			}
-			for ai := range r.Mitigation {
-				arm := &r.Mitigation[ai]
-				as := MitigationArmStatus{
-					Arm: arm.Arm, MinSafeV: arm.MinSafeV, EnergySavings: arm.EnergySavings,
-				}
-				for _, pt := range arm.Levels {
-					as.Levels = append(as.Levels, MitigationLevel{
-						V: pt.V, FaultsPerMbit: pt.FaultsPerMbit, WordErrors: pt.WordErrors,
-						Accuracy: pt.Accuracy, EnergyJ: pt.EnergyJ, FreqScale: pt.FreqScale,
-						Corrected: pt.Corrected, Detected: pt.Detected, Silent: pt.Silent,
-					})
-				}
-				bs.Mitigation = append(bs.Mitigation, as)
-			}
-			st.BoardResults = append(st.BoardResults, bs)
-		}
+	detail := j.detail
+	j.mu.Unlock()
+	if detail != nil {
+		detail(&st, full)
 	}
 	return st
+}
+
+// Accepted journals a just-admitted job and answers 202 with its status.
+// From here on a crash replays the job, as failed with the restart message.
+func (j *Job) Accepted(w http.ResponseWriter) {
+	j.t.jn.putMeta(j)
+	WriteJSON(w, http.StatusAccepted, j.status(true))
 }
 
 // eventPageSize bounds how many journaled events one eventsSince call pages
@@ -396,10 +306,7 @@ func (j *Job) eventsSince(from int) ([]JobEvent, bool, <-chan struct{}) {
 	if from < 0 || from > total {
 		from = 0
 	}
-	if from >= base || j.jn == nil {
-		if from < base {
-			from = base // journaling off: the in-memory tail is all there is
-		}
+	if from >= base {
 		var evs []JobEvent
 		if from < total {
 			evs = append(evs, j.events[from-base:]...)
@@ -412,7 +319,7 @@ func (j *Job) eventsSince(from int) ([]JobEvent, bool, <-chan struct{}) {
 	// overlap the tail (the same immutable events) or come back short when
 	// best-effort writes were dropped; either way the cursor advances by
 	// what is served and the next call continues from there.
-	if evs := j.jn.readEvents(j.id, from, eventPageSize); len(evs) > 0 {
+	if evs := j.t.jn.readEvents(j.id, from, eventPageSize); len(evs) > 0 {
 		return evs, terminal, notify
 	}
 	// Nothing journaled at this depth (a gap): fall forward to the tail.
@@ -421,99 +328,84 @@ func (j *Job) eventsSince(from int) ([]JobEvent, bool, <-chan struct{}) {
 	return append([]JobEvent(nil), j.events...), terminal, notify
 }
 
-// jobTable is the server's job registry. Retention is bounded: beyond max
-// entries, the oldest terminal jobs are evicted (their FVMs live on in the
-// store; only the job row and its event log go). Live jobs are never
-// evicted, so the table can exceed max only while that many campaigns are
-// actually queued or running.
-type jobTable struct {
+// JobTable is the job-and-stream layer the daemon and the federation
+// coordinator share: the job registry, the firehose that stamps and
+// multiplexes every job's events, the journal they write through to, and
+// the endpoints that list, cancel and stream them. Retention is bounded:
+// beyond max entries, the oldest terminal jobs are evicted and unjournaled
+// (FVMs live on in the store; only the job row and its event log go). Live
+// jobs are never evicted, so the table can exceed max only while that many
+// campaigns are actually queued or running.
+type JobTable struct {
+	ctx       context.Context // parent of every job context; ends every stream
+	prefix    string          // job ids read <prefix>-0001, <prefix>-0002, ...
+	max       int
+	window    int
+	keepAlive time.Duration
+	fh        *firehose
+	jn        *journal
+
 	mu    sync.Mutex
 	seq   int
-	max   int
 	jobs  map[string]*Job
 	order []string // creation order, for oldest-first eviction
-	// onEvict is told which jobs were dropped (outside the table lock), so
-	// the server can unjournal them and keep the store's journal in step
-	// with the table's retention.
-	onEvict func(jobs []*Job)
 }
 
-func newJobTable(max int, onEvict func(jobs []*Job)) *jobTable {
-	if max <= 0 {
-		max = 256
+// NewJobTable builds the layer over cfg's store, retention, window and
+// stream settings (defaults applied), then replays the journal: jobs it
+// holds in a non-terminal state come back failed with restartMsg. Cancelling
+// ctx cancels every job and closes every open stream.
+func NewJobTable(ctx context.Context, cfg Config, prefix, restartMsg string) (*JobTable, error) {
+	cfg = cfg.withDefaults()
+	t := &JobTable{
+		ctx: ctx, prefix: prefix, max: cfg.MaxJobHistory,
+		window: cfg.JobEventWindow, keepAlive: cfg.SSEKeepAlive,
+		fh:   newFirehose(cfg.FirehoseBuffer),
+		jn:   newJournal(cfg.Store, cfg.JobRetain),
+		jobs: make(map[string]*Job),
 	}
-	if onEvict == nil {
-		onEvict = func([]*Job) {}
+	if err := t.replay(restartMsg); err != nil {
+		return nil, err
 	}
-	return &jobTable{max: max, jobs: make(map[string]*Job), onEvict: onEvict}
+	return t, nil
 }
 
-// terminal reports the job's state under its own lock.
-func (j *Job) terminal() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state.Terminal()
-}
-
-// create registers a new job for the campaign and returns it.
-func (t *jobTable) create(c engine.Campaign, inv []platform.Platform, ctx context.Context, cancel context.CancelFunc, fh *firehose, jn *journal, window int, onTerminal func()) *Job {
+// Create registers a new queued job of the given kind over boards boards.
+// detail, when non-nil, is the job's status hook from the start.
+func (t *JobTable) Create(kind string, boards int, detail func(*JobStatus, bool)) *Job {
+	ctx, cancel := context.WithCancel(t.ctx)
 	t.mu.Lock()
 	t.seq++
-	id := fmt.Sprintf("job-%04d", t.seq)
-	j := newJob(id, c, inv, ctx, cancel, fh, jn, window)
-	j.seq = t.seq
-	j.onTerminal = onTerminal
-	t.jobs[id] = j
-	t.order = append(t.order, id)
-	evicted := t.evictLocked()
-	t.mu.Unlock()
-	if len(evicted) > 0 {
-		t.onEvict(evicted)
-	}
-	return j
-}
-
-// adopt registers a job replayed from the journal under its original id and
-// sequence, so post-restart submissions continue the numbering.
-func (t *jobTable) adopt(j *Job) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if j.seq > t.seq {
-		t.seq = j.seq
+	j := &Job{
+		id: fmt.Sprintf("%s-%04d", t.prefix, t.seq), seq: t.seq, kind: kind, boards: boards,
+		ctx: ctx, cancel: cancel, t: t, detail: detail,
+		state: JobQueued, created: time.Now(), notify: make(chan struct{}),
 	}
 	t.jobs[j.id] = j
 	t.order = append(t.order, j.id)
-}
-
-// bumpSeq raises the id sequence to at least seq — covering journaled jobs
-// that were themselves evicted during replay but whose ids must not be
-// reissued.
-func (t *jobTable) bumpSeq(seq int) {
-	t.mu.Lock()
-	if seq > t.seq {
-		t.seq = seq
-	}
+	evicted := t.evictLocked()
 	t.mu.Unlock()
+	t.jn.drop(evicted...)
+	return j
 }
 
-// sweep evicts excess terminal jobs. The server calls it from each job's
-// completion hook, so a table that filled up with live jobs shrinks as
-// soon as they finish rather than on the next submission.
-func (t *jobTable) sweep() {
+// JournalErrors reports how many journal writes have been dropped.
+func (t *JobTable) JournalErrors() uint64 { return t.jn.errs.Load() }
+
+// sweep evicts excess terminal jobs. Every job calls it as it turns
+// terminal, so a table that filled up with live jobs shrinks as soon as
+// they finish rather than on the next submission.
+func (t *JobTable) sweep() {
 	t.mu.Lock()
 	evicted := t.evictLocked()
 	t.mu.Unlock()
-	if len(evicted) > 0 {
-		t.onEvict(evicted)
-	}
+	t.jn.drop(evicted...)
 }
 
 // evictLocked drops the oldest terminal jobs until the table fits max,
 // compacting the order slice in a single pass (the old per-entry
-// slice-delete made a full table turn quadratic). Live jobs are never
-// evicted, so the table exceeds max only while that many campaigns are
-// actually queued or running.
-func (t *jobTable) evictLocked() []*Job {
+// slice-delete made a full table turn quadratic).
+func (t *JobTable) evictLocked() []*Job {
 	excess := len(t.jobs) - t.max
 	if excess <= 0 {
 		return nil
@@ -537,9 +429,9 @@ func (t *jobTable) evictLocked() []*Job {
 	return evicted
 }
 
-// remove deregisters a job that was never admitted to the queue, so a
-// rejected submission leaves no phantom entry in the listing.
-func (t *jobTable) remove(id string) {
+// remove deregisters a job that was never admitted, so a rejected
+// submission leaves no phantom entry in the listing.
+func (t *JobTable) remove(id string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	delete(t.jobs, id)
@@ -551,18 +443,10 @@ func (t *jobTable) remove(id string) {
 	}
 }
 
-// get resolves a job by id.
-func (t *jobTable) get(id string) (*Job, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	j, ok := t.jobs[id]
-	return j, ok
-}
-
 // list snapshots every job's status, oldest first. Ordering follows the
 // creation sequence, not the id string — "job-10000" must list after
 // "job-9999", which lexicographic id order would get wrong.
-func (t *jobTable) list() []JobStatus {
+func (t *JobTable) list() []JobStatus {
 	t.mu.Lock()
 	jobs := make([]*Job, 0, len(t.jobs))
 	for _, j := range t.jobs {
@@ -575,4 +459,210 @@ func (t *jobTable) list() []JobStatus {
 		out = append(out, j.status(false))
 	}
 	return out
+}
+
+// Routes registers the job and stream endpoints on mux. Cancelling a job
+// requires token when one is set; listings and streams stay open.
+func (t *JobTable) Routes(mux *http.ServeMux, token string) {
+	mux.HandleFunc("GET /v1/jobs", t.handleJobs)
+	mux.HandleFunc("GET /v1/jobs/{id}", t.handleJob)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", RequireAuth(token, t.handleCancel))
+	mux.HandleFunc("GET /v1/jobs/{id}/events", t.handleEvents)
+	mux.HandleFunc("GET /v1/events", t.handleFirehose)
+}
+
+func (t *JobTable) handleJobs(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, t.list())
+}
+
+func (t *JobTable) lookupJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
+	t.mu.Lock()
+	job, ok := t.jobs[r.PathValue("id")]
+	t.mu.Unlock()
+	if !ok {
+		WriteError(w, &apiError{status: http.StatusNotFound,
+			msg: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
+	}
+	return job, ok
+}
+
+func (t *JobTable) handleJob(w http.ResponseWriter, r *http.Request) {
+	if job, ok := t.lookupJob(w, r); ok {
+		WriteJSON(w, http.StatusOK, job.status(true))
+	}
+}
+
+// handleCancel cancels a queued or running job. Cancelling a terminal job is
+// a no-op that reports the final state.
+func (t *JobTable) handleCancel(w http.ResponseWriter, r *http.Request) {
+	job, ok := t.lookupJob(w, r)
+	if !ok {
+		return
+	}
+	job.markCancelled() // queued → cancelled immediately
+	job.cancel()        // running → the runner unwinds via ctx and calls Finish
+	WriteJSON(w, http.StatusOK, job.status(true))
+}
+
+// sseRetryHint is the reconnect delay SSE streams advertise to clients.
+const sseRetryHint = 2 * time.Second
+
+// startSSE emits the stream headers, a retry hint, and an immediate flush,
+// returning the flusher (or false when the writer cannot stream). The
+// retry hint and the keepalive ticker the handlers run afterwards are what
+// keep an idle stream alive across proxies: without them a stream attached
+// to a job stuck behind a full queue writes nothing after the headers
+// until the job starts, and an intermediary severs it long before that.
+func startSSE(w http.ResponseWriter) (http.Flusher, bool) {
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		WriteError(w, &apiError{status: http.StatusInternalServerError, msg: "response writer cannot stream"})
+		return nil, false
+	}
+	h := w.Header()
+	h.Set("Content-Type", "text/event-stream")
+	h.Set("Cache-Control", "no-cache")
+	h.Set("Connection", "keep-alive")
+	w.WriteHeader(http.StatusOK)
+	fmt.Fprintf(w, "retry: %d\n\n", sseRetryHint.Milliseconds())
+	flusher.Flush()
+	return flusher, true
+}
+
+// sseKeepAlive writes one comment frame; proxies pass it through, clients
+// ignore it, and both learn the connection is still alive.
+func sseKeepAlive(w http.ResponseWriter, flusher http.Flusher) {
+	fmt.Fprint(w, ": keepalive\n\n")
+	flusher.Flush()
+}
+
+// handleEvents streams the job's event log as Server-Sent Events: history
+// first, then live events, closing after the terminal "campaign" event. The
+// Last-Event-ID header (or ?after=) resumes a dropped stream; comment
+// keepalives flow while the job is idle (e.g. queued behind a full worker
+// pool).
+func (t *JobTable) handleEvents(w http.ResponseWriter, r *http.Request) {
+	job, ok := t.lookupJob(w, r)
+	if !ok {
+		return
+	}
+	// A malformed or negative resume cursor replays from the start rather
+	// than reaching eventsSince with an index that would slice negatively.
+	next := 0
+	if after := cmp.Or(r.Header.Get("Last-Event-ID"), r.URL.Query().Get("after")); after != "" {
+		if n, err := strconv.Atoi(after); err == nil && n >= 0 {
+			next = n + 1
+		}
+	}
+	flusher, ok := startSSE(w)
+	if !ok {
+		return
+	}
+	keepalive := time.NewTicker(t.keepAlive)
+	defer keepalive.Stop()
+
+	for {
+		evs, terminal, changed := job.eventsSince(next)
+		for _, ev := range evs {
+			data, err := json.Marshal(ev)
+			if err != nil {
+				return
+			}
+			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
+			next = ev.Seq + 1
+		}
+		if len(evs) > 0 {
+			flusher.Flush()
+		}
+		if terminal {
+			// Everything up to and including the terminal event is out.
+			if evs, _, _ := job.eventsSince(next); len(evs) == 0 {
+				return
+			}
+			continue
+		}
+		select {
+		case <-changed:
+		case <-keepalive.C:
+			sseKeepAlive(w, flusher)
+		case <-r.Context().Done():
+			return
+		case <-t.ctx.Done():
+			return
+		}
+	}
+}
+
+// firehosePageSize bounds how many journaled events one deep-resume page
+// pulls back into memory; the handler loops page after page until the
+// cursor reaches the live window.
+const firehosePageSize = 512
+
+// handleFirehose streams every job's events, multiplexed in global-sequence
+// order and tagged with job ids — the fleet dashboard feed. The stream has
+// no terminal event; it runs until the client disconnects or the service
+// shuts down. Last-Event-ID (or ?after=) carries a global sequence, which
+// survives restarts via the journal; a cursor older than the in-memory
+// replay window — any depth, including 0 across a restart — is paged out of
+// the journal until it catches up to the window, then streams live. Only a
+// gap from dropped best-effort writes clamps the cursor forward to the
+// oldest retained event.
+func (t *JobTable) handleFirehose(w http.ResponseWriter, r *http.Request) {
+	var after int64
+	if c := cmp.Or(r.Header.Get("Last-Event-ID"), r.URL.Query().Get("after")); c != "" {
+		if n, err := strconv.ParseInt(c, 10, 64); err == nil && n > 0 {
+			after = n
+		}
+	}
+	flusher, ok := startSSE(w)
+	if !ok {
+		return
+	}
+	keepalive := time.NewTicker(t.keepAlive)
+	defer keepalive.Stop()
+
+	emit := func(ev JobEvent) bool {
+		data, err := json.Marshal(ev)
+		if err != nil {
+			return false
+		}
+		fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.GSeq, ev.Type, data)
+		after = ev.GSeq
+		return true
+	}
+	for {
+		evs, changed, inWindow := t.fh.since(after)
+		if !inWindow {
+			if page := t.jn.firehosePage(after, firehosePageSize); len(page) > 0 {
+				for _, ev := range page {
+					if !emit(ev) {
+						return
+					}
+				}
+				flusher.Flush()
+				continue
+			}
+			// Nothing journaled below the window: clamp to its edge. The
+			// low-water mark only rises, so this always makes progress.
+			after = t.fh.lowWater()
+			continue
+		}
+		for _, ev := range evs {
+			if !emit(ev) {
+				return
+			}
+		}
+		if len(evs) > 0 {
+			flusher.Flush()
+		}
+		select {
+		case <-changed:
+		case <-keepalive.C:
+			sseKeepAlive(w, flusher)
+		case <-r.Context().Done():
+			return
+		case <-t.ctx.Done():
+			return
+		}
+	}
 }

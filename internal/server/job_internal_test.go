@@ -6,9 +6,29 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/store"
 )
+
+// newTestTable builds a job table over st with the given history bound.
+func newTestTable(t *testing.T, st store.Store, max int) *JobTable {
+	t.Helper()
+	tbl, err := NewJobTable(context.Background(), Config{Store: st, MaxJobHistory: max}, "job", "restarted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// deleteRecorder records the job ids the journal deletes, in call order.
+type deleteRecorder struct {
+	store.Store
+	deleted []string
+}
+
+func (d *deleteRecorder) DeleteJob(id string) error {
+	d.deleted = append(d.deleted, id)
+	return d.Store.DeleteJob(id)
+}
 
 // TestFinishClassifiesCancellation drives Job.finish the way the worker
 // does after RunCampaign returns, across the error shapes the engine can
@@ -32,16 +52,14 @@ func TestFinishClassifiesCancellation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			j := newJob("job-0001", engine.Campaign{}, nil, ctx, cancel, newFirehose(0), nil, 0)
-			if !j.setRunning() {
+			j := newTestTable(t, store.NewMem(), 0).Create("characterization", 0, nil)
+			if !j.SetRunning() {
 				t.Fatal("setRunning refused a queued job")
 			}
 			if tc.cancelCtx {
-				cancel()
+				j.cancel()
 			}
-			j.finish(nil, tc.err)
+			j.Finish(tc.err, nil)
 			if got := j.status(false).State; got != tc.want {
 				t.Fatalf("finish(%v) with ctx.Err()=%v classified %q, want %q",
 					tc.err, j.ctx.Err(), got, tc.want)
@@ -55,28 +73,21 @@ func TestFinishClassifiesCancellation(t *testing.T) {
 // finish, not wait for the next submission, and eviction reports the
 // dropped ids (oldest first) in one pass.
 func TestEvictOnCompletion(t *testing.T) {
-	var evicted []string
-	tbl := newJobTable(2, func(jobs []*Job) {
-		for _, j := range jobs {
-			evicted = append(evicted, j.id)
-		}
-	})
-	fh := newFirehose(0)
+	rec := &deleteRecorder{Store: store.NewMem()}
+	tbl := newTestTable(t, rec, 2)
 	var jobs []*Job
 	for i := 0; i < 4; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		j := tbl.create(engine.Campaign{}, nil, ctx, cancel, fh, nil, 0, tbl.sweep)
-		jobs = append(jobs, j)
+		jobs = append(jobs, tbl.Create("characterization", 0, nil))
 	}
 	// All four are live: over max, but nothing may be evicted.
 	if got := len(tbl.list()); got != 4 {
 		t.Fatalf("table holds %d live jobs, want 4", got)
 	}
 	for _, j := range jobs {
-		j.setRunning()
-		j.finish(nil, nil)
+		j.SetRunning()
+		j.Finish(nil, nil)
 	}
+	evicted := rec.deleted
 	if got := tbl.list(); len(got) != 2 ||
 		got[0].ID != jobs[2].id || got[1].ID != jobs[3].id {
 		t.Fatalf("after completions table lists %+v, want the newest two", got)

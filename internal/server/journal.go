@@ -18,28 +18,17 @@ type jobMeta struct {
 	Status JobStatus `json:"status"`
 }
 
-// jobDocument is the PRE-event-log journaled form: status plus the complete
-// embedded event log, rewritten wholesale on every mutation. It survives
-// only as the migration decode target — replay detects a v1 payload by its
-// non-empty Events, appends those events into the split event log once, and
-// rewrites the record as a jobMeta. The shared "status" envelope is what
-// lets one decode serve both schemas.
-type jobDocument struct {
-	Status JobStatus  `json:"status"`
-	Events []JobEvent `json:"events"`
-}
-
 // journal write-throughs job state into the store, so the job table — not
 // just the FVMs it produced — survives a restart. Job metadata is one
 // record, rewritten only on state transitions; events are appended to the
 // store's per-job event log, one O(1) write each, and read back in pages
-// for deep SSE/firehose resume. A nil *journal is valid and inert, which is
-// how the DisableJournal configuration is expressed.
+// for deep SSE/firehose resume. A service that needs no durability
+// journals into store.NewMem().
 //
 // Journal writes are deliberately best-effort: a full disk must degrade
-// the service to PR-2 semantics (jobs forgotten on restart), not fail live
-// campaigns. Failures are counted and surfaced through /healthz; readers
-// tolerate the resulting gaps.
+// the service (jobs forgotten on restart), not fail live campaigns.
+// Failures are counted and surfaced through /healthz; readers tolerate the
+// resulting gaps.
 type journal struct {
 	st store.Store
 	// retain, when > 0, trims each terminal job's durable event log to (at
@@ -56,7 +45,7 @@ func newJournal(st store.Store, retain int) *journal {
 // reached (or was replayed in) a terminal state. Best-effort, like every
 // journal write: a failed trim keeps more history, never less.
 func (jn *journal) retainTerminal(id string) {
-	if jn == nil || jn.retain <= 0 {
+	if jn.retain <= 0 {
 		return
 	}
 	if err := jn.st.TrimJobEvents(id, jn.retain); err != nil {
@@ -66,13 +55,10 @@ func (jn *journal) retainTerminal(id string) {
 
 // putMeta persists j's metadata record. The job's journal mutex is held
 // across snapshot AND write: two racing puts (say, the submit handler's
-// queued-state write and the worker's running transition) would otherwise
+// queued-state write and the runner's running transition) would otherwise
 // be free to land on disk in the opposite order of their snapshots, leaving
 // a stale status as the job's journaled truth.
 func (jn *journal) putMeta(j *Job) {
-	if jn == nil {
-		return
-	}
 	j.jnMu.Lock()
 	defer j.jnMu.Unlock()
 	if j.jnDropped {
@@ -98,9 +84,6 @@ func (jn *journal) putMeta(j *Job) {
 // on failure the events stay counted as journal errors and the tail is kept
 // whole, so SSE never depends on a write that did not happen.
 func (jn *journal) sync(j *Job) {
-	if jn == nil {
-		return
-	}
 	j.jnMu.Lock()
 	defer j.jnMu.Unlock()
 	if j.jnDropped {
@@ -135,35 +118,10 @@ func (jn *journal) sync(j *Job) {
 	j.trimJournaled(recs[len(recs)-1].Seq + 1)
 }
 
-// migrateEvents appends a v1 document's embedded events into the split
-// event log. A re-run after a crashed migration appends duplicates, which
-// the store's reader-side Seq dedup and the next compaction absorb.
-func (jn *journal) migrateEvents(id string, evs []JobEvent) {
-	if jn == nil || len(evs) == 0 {
-		return
-	}
-	recs := make([]store.EventRecord, 0, len(evs))
-	for i := range evs {
-		payload, err := json.Marshal(&evs[i])
-		if err != nil {
-			continue
-		}
-		recs = append(recs, store.EventRecord{
-			Job: id, Seq: evs[i].Seq, GSeq: evs[i].GSeq, Payload: payload,
-		})
-	}
-	if err := jn.st.AppendJobEvents(id, recs); err != nil {
-		jn.errs.Add(1)
-	}
-}
-
 // readEvents pages one job's journaled events with Seq >= from. Corrupt
 // payloads are skipped; a store read failure degrades to an empty page (the
 // caller falls forward to the in-memory tail).
 func (jn *journal) readEvents(id string, from, limit int) []JobEvent {
-	if jn == nil {
-		return nil
-	}
 	recs, err := jn.st.ReadJobEvents(id, from, limit)
 	if err != nil {
 		return nil
@@ -173,9 +131,6 @@ func (jn *journal) readEvents(id string, from, limit int) []JobEvent {
 
 // firehosePage pages journaled events across all jobs with GSeq > after.
 func (jn *journal) firehosePage(after int64, limit int) []JobEvent {
-	if jn == nil {
-		return nil
-	}
 	recs, err := jn.st.ReadFirehose(after, limit)
 	if err != nil {
 		return nil
@@ -202,25 +157,10 @@ func decodeEventRecords(recs []store.EventRecord) []JobEvent {
 	return evs
 }
 
-// stats reports the next event sequence a job's journal would assign.
-func (jn *journal) stats(id string) (nextSeq int, lastGSeq int64) {
-	if jn == nil {
-		return 0, 0
-	}
-	nextSeq, lastGSeq, err := jn.st.JobEventStats(id)
-	if err != nil {
-		return 0, 0
-	}
-	return nextSeq, lastGSeq
-}
-
-// drop deletes an evicted job's record (event log included) and tombstones
-// the job, so an in-flight write racing with the eviction cannot write the
+// drop deletes evicted jobs' records (event logs included) and tombstones
+// the jobs, so an in-flight write racing with the eviction cannot write a
 // record back.
 func (jn *journal) drop(jobs ...*Job) {
-	if jn == nil {
-		return
-	}
 	for _, j := range jobs {
 		j.jnMu.Lock()
 		j.jnDropped = true
@@ -231,39 +171,15 @@ func (jn *journal) drop(jobs ...*Job) {
 	}
 }
 
-// remove drops journal records by id alone — only for records that never
-// became live Jobs in this process (e.g. replay overflow), where no racing
-// writer exists.
-func (jn *journal) remove(ids ...string) {
-	if jn == nil {
-		return
-	}
-	for _, id := range ids {
-		if err := jn.st.DeleteJob(id); err != nil {
-			jn.errs.Add(1)
-		}
-	}
-}
-
-// errors reports how many journal writes have been dropped.
-func (jn *journal) errors() uint64 {
-	if jn == nil {
-		return 0
-	}
-	return jn.errs.Load()
-}
-
-// replayJournal rebuilds the job table from the journal at boot. Only
-// metadata records and the stores' bounded event-log indexes are read —
-// never the event bodies — so boot cost is O(jobs), not O(events); deep
-// SSE and firehose resumes page events on demand instead. Jobs journaled in
-// a non-terminal state were running or queued when the previous process
-// died; they are marked failed with a restart marker. Torn journal records
-// are skipped — replay must degrade, not refuse to boot. Old full-document
-// (v1) records are migrated into the split layout once, then serve
-// exactly like native ones.
-func (s *Server) replayJournal() error {
-	recs, err := s.cfg.Store.ListJobs()
+// replay rebuilds the table from the journal at boot. Only metadata
+// records and the stores' bounded event-log indexes are read — never the
+// event bodies — so boot cost is O(jobs), not O(events); deep SSE and
+// firehose resumes page events on demand instead. Jobs journaled in a
+// non-terminal state were running or queued when the previous process
+// died; they are marked failed with restartMsg. Torn journal records are
+// skipped — replay must degrade, not refuse to boot.
+func (t *JobTable) replay(restartMsg string) error {
+	recs, err := t.jn.st.ListJobs()
 	if err != nil {
 		return fmt.Errorf("replay journal: %w", err)
 	}
@@ -272,115 +188,84 @@ func (s *Server) replayJournal() error {
 		status JobStatus
 	}
 	var docs []loaded
-	var maxSeq int
 	for _, rec := range recs {
-		var doc jobDocument
-		if err := json.Unmarshal(rec.Payload, &doc); err != nil || doc.Status.ID != rec.ID {
+		var meta jobMeta
+		if err := json.Unmarshal(rec.Payload, &meta); err != nil || meta.Status.ID != rec.ID {
 			continue
 		}
-		if len(doc.Events) > 0 {
-			// v1 migration: events move to the event log, then the record is
-			// rewritten O(1). Crash between the two replays the migration,
-			// and the reader-side dedup makes that harmless.
-			s.jn.migrateEvents(rec.ID, doc.Events)
-			if meta, err := json.Marshal(jobMeta{Status: doc.Status}); err == nil {
-				if err := s.cfg.Store.PutJob(&store.JobRecord{ID: rec.ID, Seq: rec.Seq, Payload: meta}); err != nil {
-					s.jn.errs.Add(1)
-				}
-			}
-		}
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
-		}
-		docs = append(docs, loaded{rec, doc.Status})
+		// Ids are never reissued, not even those of jobs dropped below.
+		t.seq = max(t.seq, rec.Seq)
+		docs = append(docs, loaded{rec, meta.Status})
 	}
 	// The global sequence must resume past every journaled event — read it
 	// before retention trims any job, so a dropped job's sequences are
 	// never reissued.
-	maxGSeq, err := s.cfg.Store.LastGSeq()
+	maxGSeq, err := t.jn.st.LastGSeq()
 	if err != nil {
 		return fmt.Errorf("replay journal: %w", err)
 	}
 	// The table's retention bound applies to replayed jobs too: keep the
-	// newest MaxJobHistory, unjournal the rest. recs (and so docs) are
-	// already in submission order.
-	if drop := len(docs) - s.cfg.MaxJobHistory; drop > 0 {
+	// newest max, unjournal the rest. recs (and so docs) are already in
+	// submission order, and none of them is a live Job yet, so no racing
+	// writer exists to tombstone.
+	if drop := len(docs) - t.max; drop > 0 {
 		for _, d := range docs[:drop] {
-			s.jn.remove(d.rec.ID)
+			if err := t.jn.st.DeleteJob(d.rec.ID); err != nil {
+				t.jn.errs.Add(1)
+			}
 		}
 		docs = docs[drop:]
 	}
 	// The firehose window starts empty: restart markers appended below draw
 	// fresh sequences, and resumes below the window page from the journal.
-	s.fh.startAfter(maxGSeq)
+	t.fh.startAfter(maxGSeq)
 
 	var interrupted []*Job
 	for _, d := range docs {
-		nextSeq, _ := s.jn.stats(d.rec.ID)
-		j := restoreJob(d.rec, d.status, nextSeq, s.fh, s.jn, s.cfg.JobEventWindow)
-		s.jobs.adopt(j)
-		if !j.terminal() {
+		// Restored jobs never run again: their context is born cancelled,
+		// and eventsBase starts at the log's end, so any SSE replay pages
+		// from the store instead of RAM.
+		nextSeq, _, err := t.jn.st.JobEventStats(d.rec.ID)
+		if err != nil {
+			nextSeq = 0
+		}
+		ctx, cancel := context.WithCancel(t.ctx)
+		cancel()
+		st := d.status
+		j := &Job{
+			id: d.rec.ID, seq: d.rec.Seq, kind: st.Kind, boards: st.Boards,
+			ctx: ctx, cancel: cancel, t: t,
+			state: st.State, created: st.Created, progress: st.Progress,
+			eventsBase: nextSeq, notify: make(chan struct{}), restored: &st,
+		}
+		t.jobs[j.id] = j
+		t.order = append(t.order, j.id)
+		if !st.State.Terminal() {
 			interrupted = append(interrupted, j)
 		} else {
-			// Retention applies to replayed history too, so a daemon whose
+			// Retention applies to replayed history too, so a service whose
 			// JobRetain was lowered (or first set) reclaims disk at boot.
-			s.jn.retainTerminal(j.id)
+			t.jn.retainTerminal(j.id)
 		}
 	}
-	s.jobs.bumpSeq(maxSeq)
 	for _, j := range interrupted {
-		j.failRestored("daemon restarted mid-campaign")
+		j.failRestored(restartMsg)
 	}
 	return nil
 }
 
-// restoreJob rebuilds a Job from its journaled metadata. Restored jobs
-// never run again: their context is born cancelled, and their status is
-// served from the journaled snapshot rather than recomputed. Their events
-// stay in the journal — eventsBase starts at the log's end, so any SSE
-// replay pages from the store instead of RAM.
-func restoreJob(rec *store.JobRecord, st JobStatus, nextSeq int, fh *firehose, jn *journal, window int) *Job {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	return &Job{
-		id: rec.ID, seq: rec.Seq,
-		ctx: ctx, cancel: cancel,
-		state:      st.State,
-		created:    st.Created,
-		progress:   st.Progress,
-		eventsBase: nextSeq,
-		notify:     make(chan struct{}),
-		fh:         fh, jn: jn,
-		memWindow: window,
-		restored:  &st,
-	}
-}
-
 // failRestored finishes a replayed job that was queued or running when the
-// previous daemon died: state failed, a terminal event (with a fresh global
-// sequence) appended and journaled, and the metadata record updated.
+// previous process died: state failed, a terminal event (with a fresh
+// global sequence) appended and journaled, and the metadata record updated.
 func (j *Job) failRestored(msg string) {
 	j.mu.Lock()
-	if j.restored == nil || j.state.Terminal() {
-		j.mu.Unlock()
-		return
-	}
 	now := time.Now()
 	j.state = JobFailed
 	j.finished = now
 	j.restored.State = JobFailed
 	j.restored.Error = msg
 	j.restored.Finished = &now
-	te := JobEvent{
-		Seq: j.eventsBase + len(j.events), Type: "campaign", Job: j.id,
-		Progress: j.progress, State: JobFailed, Error: msg,
-	}
-	j.fh.append(&te)
-	j.events = append(j.events, te)
-	j.queueJournalLocked(te)
-	j.signalLocked()
+	j.appendLocked(JobEvent{Type: "campaign", State: JobFailed, Error: msg})
 	j.mu.Unlock()
-	j.jn.sync(j)
-	j.jn.putMeta(j)
-	j.jn.retainTerminal(j.id)
+	j.end()
 }

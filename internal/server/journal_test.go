@@ -385,10 +385,13 @@ func TestJournalReplaysInterruptedJobAsFailed(t *testing.T) {
 	mem := store.NewMem()
 	payload := `{
 		"status": {"id": "job-0001", "kind": "characterization", "state": "running",
-		           "boards": 1, "progress": 40, "created": "2026-07-26T10:00:00Z"},
-		"events": [{"seq": 0, "gseq": 1, "job": "job-0001", "type": "start", "progress": 0}]
+		           "boards": 1, "progress": 40, "created": "2026-07-26T10:00:00Z"}
 	}`
 	if err := mem.PutJob(&store.JobRecord{ID: "job-0001", Seq: 1, Payload: []byte(payload)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.AppendJobEvents("job-0001", []store.EventRecord{{Job: "job-0001", Seq: 0, GSeq: 1,
+		Payload: []byte(`{"seq": 0, "gseq": 1, "job": "job-0001", "type": "start", "progress": 0}`)}}); err != nil {
 		t.Fatal(err)
 	}
 	_, client := newService(t, mem, server.Config{Workers: 1})
@@ -428,33 +431,6 @@ func TestJournalReplaysInterruptedJobAsFailed(t *testing.T) {
 	}
 	if _, err := client.Wait(ctx, job.ID, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestJournalDisabled pins the opt-out: with DisableJournal the service
-// behaves like PR 2 — jobs vanish on restart even though FVMs persist.
-func TestJournalDisabled(t *testing.T) {
-	mem := store.NewMem()
-	srv1, client1 := newService(t, mem, server.Config{Workers: 1, DisableJournal: true})
-	ctx := context.Background()
-	job, err := client1.Submit(ctx, smallCampaign())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client1.Wait(ctx, job.ID, nil); err != nil {
-		t.Fatal(err)
-	}
-	sctx, scancel := context.WithTimeout(ctx, 30*time.Second)
-	defer scancel()
-	if err := srv1.Shutdown(sctx); err != nil {
-		t.Fatal(err)
-	}
-	_, client2 := newService(t, mem, server.Config{Workers: 1, DisableJournal: true})
-	if jobs := mustJobs(t, client2); len(jobs) != 0 {
-		t.Fatalf("journal-disabled restart remembered %d jobs", len(jobs))
-	}
-	if fvms, err := client2.FVMs(ctx, "", ""); err != nil || len(fvms) != 2 {
-		t.Fatalf("FVMs did not persist without the journal: %d, %v", len(fvms), err)
 	}
 }
 

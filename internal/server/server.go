@@ -13,7 +13,7 @@
 //	GET    /v1/fvms/{id}        one stored record's full FVM as JSON
 //	DELETE /v1/fvms/{id}        admin: drop one stored record
 //	GET    /v1/vmin             per-board operating windows from stored sweeps
-//	GET    /healthz             liveness + queue depth + journal health
+//	GET    /healthz             liveness + queue depth + journal errors
 //
 // Campaigns run on a bounded worker pool fed by a bounded queue: a full
 // queue answers 503 instead of buffering without limit. Every engine kind
@@ -37,7 +37,6 @@
 package server
 
 import (
-	"cmp"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -51,6 +50,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/platform"
 	"repro/internal/store"
 )
 
@@ -65,8 +65,6 @@ type Config struct {
 	QueueDepth int
 	// FleetWorkers bounds per-campaign board concurrency (0 = engine auto).
 	FleetWorkers int
-	// CacheCapacity bounds the server's shared in-memory FVM cache.
-	CacheCapacity int
 	// MaxBoards caps a single campaign's fleet size (default 64).
 	MaxBoards int
 	// MaxJobHistory caps how many jobs the in-memory table retains;
@@ -75,10 +73,6 @@ type Config struct {
 	// (default 256). Live jobs are never evicted. The same bound applies
 	// to journal replay at boot.
 	MaxJobHistory int
-	// DisableJournal turns off the store-backed job journal. Jobs then
-	// live only in memory (PR-2 semantics): a restart forgets them even
-	// though their FVMs persist.
-	DisableJournal bool
 	// GCKeep, when > 0, bounds the FVM store to the newest GCKeep records
 	// per (platform, serial). GC runs at startup and after every job
 	// reaches a terminal state.
@@ -94,8 +88,7 @@ type Config struct {
 	// memory once durably journaled (default 2048; negative disables
 	// trimming). Older sequences are paged back from the journal on
 	// demand, so deep SSE resume works without the server holding every
-	// event in RAM. Ignored when the journal is disabled — memory then
-	// keeps the whole log.
+	// event in RAM.
 	JobEventWindow int
 	// JobRetain, when > 0, trims a terminal job's durable event log down to
 	// (at least) its last JobRetain events — the Disk store drops whole
@@ -126,6 +119,9 @@ func (c Config) withDefaults() Config {
 	if c.SSEKeepAlive <= 0 {
 		c.SSEKeepAlive = 15 * time.Second
 	}
+	if c.FirehoseBuffer <= 0 {
+		c.FirehoseBuffer = 8192
+	}
 	if c.JobEventWindow == 0 {
 		c.JobEventWindow = 2048
 	}
@@ -138,22 +134,17 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg  Config
 	mux  *http.ServeMux
-	jobs *jobTable
+	jobs *JobTable
 	// cache is shared by every job's fleet, so concurrent campaigns
 	// characterizing the same board collapse into one sweep (the engine's
 	// per-key flights) and memory hits survive across jobs, not just
 	// within one.
 	cache *engine.FVMCache
-	// fh is the /v1/events multiplexer; jn is the job journal (nil when
-	// disabled).
-	fh *firehose
-	jn *journal
 
-	baseCtx context.Context    // parent of every job context
-	abort   context.CancelFunc // forced-shutdown switch
+	abort context.CancelFunc // forced-shutdown switch: cancels every job
 
-	intakeMu sync.Mutex // guards queue sends vs. close
-	queue    chan *Job
+	intakeMu sync.Mutex  // guards queue sends vs. close
+	queue    chan func() // admitted campaigns, each running one job
 	draining bool
 
 	workers sync.WaitGroup
@@ -166,26 +157,21 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("server: Config.Store is required")
 	}
-	cache := engine.NewFVMCache(cfg.CacheCapacity)
+	cache := engine.NewFVMCache(engine.DefaultCacheCapacity)
 	cache.SetBacking(cfg.Store)
 	ctx, abort := context.WithCancel(context.Background())
+	jobs, err := NewJobTable(ctx, cfg, "job", "daemon restarted mid-campaign")
+	if err != nil {
+		abort()
+		return nil, err
+	}
 	s := &Server{
-		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		cache:   cache,
-		fh:      newFirehose(cfg.FirehoseBuffer),
-		baseCtx: ctx,
-		abort:   abort,
-		queue:   make(chan *Job, cfg.QueueDepth),
-	}
-	if !cfg.DisableJournal {
-		s.jn = newJournal(cfg.Store, cfg.JobRetain)
-	}
-	s.jobs = newJobTable(cfg.MaxJobHistory, func(jobs []*Job) { s.jn.drop(jobs...) })
-	if s.jn != nil {
-		if err := s.replayJournal(); err != nil {
-			return nil, err
-		}
+		cfg:   cfg,
+		mux:   http.NewServeMux(),
+		jobs:  jobs,
+		cache: cache,
+		abort: abort,
+		queue: make(chan func(), cfg.QueueDepth),
 	}
 	s.runGC()
 	s.routes()
@@ -194,13 +180,6 @@ func New(cfg Config) (*Server, error) {
 		go s.worker()
 	}
 	return s, nil
-}
-
-// jobCompleted is every job's terminal hook: shrink the history table and
-// re-bound the store.
-func (s *Server) jobCompleted() {
-	s.jobs.sweep()
-	s.runGC()
 }
 
 // runGC bounds the store per Config.GCKeep and evicts what it removed from
@@ -221,33 +200,29 @@ func (s *Server) runGC() {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 func (s *Server) routes() {
-	s.mux.HandleFunc("POST /v1/campaigns", s.requireAuth(s.handleSubmit))
-	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.requireAuth(s.handleCancel))
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/events", s.handleFirehose)
+	s.mux.HandleFunc("POST /v1/campaigns", RequireAuth(s.cfg.AuthToken, s.handleSubmit))
+	s.jobs.Routes(s.mux, s.cfg.AuthToken)
 	s.mux.HandleFunc("GET /v1/fvms", s.handleFVMs)
 	s.mux.HandleFunc("GET /v1/fvms/{id}", s.handleFVM)
-	s.mux.HandleFunc("DELETE /v1/fvms/{id}", s.requireAuth(s.handleDeleteFVM))
+	s.mux.HandleFunc("DELETE /v1/fvms/{id}", RequireAuth(s.cfg.AuthToken, s.handleDeleteFVM))
 	s.mux.HandleFunc("GET /v1/vmin", s.handleVmin)
-	s.mux.HandleFunc("POST /v1/gc", s.requireAuth(s.handleGC))
+	s.mux.HandleFunc("POST /v1/gc", RequireAuth(s.cfg.AuthToken, s.handleGC))
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 }
 
-// requireAuth enforces Config.AuthToken on mutating handlers. With no token
+// RequireAuth enforces a bearer token on a mutating handler. With no token
 // configured it is a pass-through; with one, the request must present the
 // exact token as `Authorization: Bearer <token>` — compared in constant
 // time, so the check leaks nothing about the prefix it rejected on.
-func (s *Server) requireAuth(h http.HandlerFunc) http.HandlerFunc {
-	if s.cfg.AuthToken == "" {
+func RequireAuth(token string, h http.HandlerFunc) http.HandlerFunc {
+	if token == "" {
 		return h
 	}
-	want := []byte(s.cfg.AuthToken)
+	want := []byte(token)
 	return func(w http.ResponseWriter, r *http.Request) {
 		tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
 		if !ok || subtle.ConstantTimeCompare([]byte(strings.TrimSpace(tok)), want) != 1 {
-			writeError(w, &apiError{status: http.StatusUnauthorized,
+			WriteError(w, &apiError{status: http.StatusUnauthorized,
 				msg: "missing or invalid bearer token"})
 			return
 		}
@@ -264,60 +239,99 @@ func (s *Server) handleGC(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("keep"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n <= 0 {
-			writeError(w, badRequestf("keep %q must be a positive integer", q))
+			WriteError(w, badRequestf("keep %q must be a positive integer", q))
 			return
 		}
 		keep = n
 	}
 	if keep <= 0 {
-		writeError(w, badRequestf("no retention bound: pass ?keep= or configure GCKeep"))
+		WriteError(w, badRequestf("no retention bound: pass ?keep= or configure GCKeep"))
 		return
 	}
 	removed, err := s.cfg.Store.GC(keep)
 	if err != nil {
-		writeError(w, fmt.Errorf("gc: %w", err))
+		WriteError(w, fmt.Errorf("gc: %w", err))
 		return
 	}
 	for _, m := range removed {
 		s.cache.Invalidate(engine.CacheKeyFromStore(m.Key))
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"removed": len(removed), "keep": keep})
+	WriteJSON(w, http.StatusOK, map[string]any{"removed": len(removed), "keep": keep})
 }
 
 // worker drains the queue until Shutdown closes it.
 func (s *Server) worker() {
 	defer s.workers.Done()
-	for job := range s.queue {
-		if !job.setRunning() {
-			continue // cancelled while queued
-		}
-		s.runJob(job)
+	for run := range s.queue {
+		run()
 	}
 }
 
-// runJob executes one campaign. The fleet is constructed per job (each job
-// may enroll a different inventory) but backed by the shared store, so
-// characterization work is reused across jobs and restarts.
-func (s *Server) runJob(job *Job) {
-	defer job.cancel()
-	fleet := engine.NewFleet(job.inventory, engine.Options{
+// runJob executes one campaign, unless it was cancelled while queued. The
+// fleet is constructed per job (each job may enroll a different inventory)
+// but backed by the shared store, so characterization work is reused
+// across jobs and restarts.
+func (s *Server) runJob(job *Job, c engine.Campaign, inv []platform.Platform) {
+	if !job.SetRunning() {
+		return
+	}
+	fleet := engine.NewFleet(inv, engine.Options{
 		Workers: s.cfg.FleetWorkers,
 		Cache:   s.cache,
 	})
 	events := make(chan engine.Event, 64)
-	c := job.campaign
 	c.Events = events
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
 		for ev := range events {
-			job.appendEngineEvent(ev)
+			job.Append(jobEvent(ev))
 		}
 	}()
 	res, err := fleet.RunCampaign(job.ctx, c)
 	close(events)
 	<-drained
-	job.finish(res, err)
+	job.Finish(err, resultDetail(res))
+	s.runGC()
+}
+
+// jobEvent is the wire form of one engine progress event.
+func jobEvent(ev engine.Event) JobEvent {
+	je := JobEvent{
+		Type:       ev.Kind.String(),
+		Board:      ev.Board,
+		Platform:   ev.Platform,
+		Serial:     ev.Serial,
+		FromCache:  ev.FromCache,
+		Faults:     ev.Faults,
+		V:          ev.V,
+		InferError: ev.InferError,
+		Progress:   ev.Progress,
+	}
+	if ev.Err != nil {
+		je.Error = ev.Err.Error()
+	}
+	return je
+}
+
+// resultDetail is the status hook of a job whose campaign returned: the
+// fleet aggregate and one wire row per board, projected once.
+func resultDetail(res *engine.CampaignResult) func(*JobStatus, bool) {
+	if res == nil {
+		return nil
+	}
+	agg := res.Agg
+	var rows []BoardStatus
+	for i := range res.Boards {
+		rows = append(rows, boardRow(&res.Boards[i]))
+	}
+	return func(st *JobStatus, full bool) {
+		if full {
+			a := agg
+			st.Aggregate = &a
+			st.BoardResults = append([]BoardStatus(nil), rows...)
+		}
+	}
 }
 
 // Shutdown stops intake and waits for queued and running jobs to drain.
@@ -342,14 +356,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// holds a terminal state by now.
 	select {
 	case <-done:
-		// Drained clean. Cancel baseCtx anyway: every job is terminal, so
-		// nothing is interrupted, and open SSE streams (the firehose has
-		// no terminal event) are released instead of idling until their
-		// clients hang up.
+		// Drained clean. Cancel the jobs' parent context anyway: every job
+		// is terminal, so nothing is interrupted, and open SSE streams (the
+		// firehose has no terminal event) are released instead of idling
+		// until their clients hang up.
 		s.abort()
 		return nil
 	case <-ctx.Done():
-		s.abort() // cancels s.baseCtx, and with it every running campaign
+		s.abort() // cancels every running campaign
 		<-done
 		return ctx.Err()
 	}
@@ -375,32 +389,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, &apiError{status: http.StatusRequestEntityTooLarge,
+			WriteError(w, &apiError{status: http.StatusRequestEntityTooLarge,
 				msg: fmt.Sprintf("request body exceeds the %d-byte submission limit", maxNNSubmitBody)})
 			return
 		}
-		writeError(w, badRequestf("read request: %v", err))
+		WriteError(w, badRequestf("read request: %v", err))
 		return
 	}
 	var req CampaignRequest
 	if err := json.Unmarshal(raw, &req); err != nil {
-		writeError(w, badRequestf("decode request: %v", err))
+		WriteError(w, badRequestf("decode request: %v", err))
 		return
 	}
 	if len(raw) > maxSubmitBody && req.Kind != engine.NNInference.String() {
-		writeError(w, &apiError{status: http.StatusRequestEntityTooLarge,
+		WriteError(w, &apiError{status: http.StatusRequestEntityTooLarge,
 			msg: fmt.Sprintf("%q submissions are limited to %d bytes; only nn-inference bodies may be larger",
 				req.Kind, maxSubmitBody)})
 		return
 	}
 	c, err := req.campaign()
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	inv, err := req.inventory(s.cfg.MaxBoards)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 
@@ -408,14 +422,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// and eviction touches the journal on disk — I/O no submission (or
 	// /healthz poll) should ever queue behind. intakeMu guards only what
 	// it must: the draining check and the queue send racing close().
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	job := s.jobs.create(c, inv, ctx, cancel, s.fh, s.jn, s.cfg.JobEventWindow, s.jobCompleted)
+	job := s.jobs.Create(c.Kind.String(), len(inv), nil)
 	reject := func(msg string) {
 		// The submission was refused: it must not linger in the listing as
 		// a phantom cancelled job the client was told never existed.
 		s.jobs.remove(job.id)
-		cancel()
-		writeError(w, &apiError{status: http.StatusServiceUnavailable, msg: msg})
+		job.cancel()
+		WriteError(w, &apiError{status: http.StatusServiceUnavailable, msg: msg})
 	}
 	s.intakeMu.Lock()
 	if s.draining {
@@ -424,7 +437,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	select {
-	case s.queue <- job:
+	case s.queue <- func() { s.runJob(job, c, inv) }:
 		s.intakeMu.Unlock()
 	default:
 		s.intakeMu.Unlock()
@@ -433,202 +446,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Journaled from the moment it is queued: a crash before the first
 	// event still replays this job (as failed-with-restart-marker).
-	s.jn.putMeta(job)
-	writeJSON(w, http.StatusAccepted, job.status(true))
-}
-
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.jobs.list())
-}
-
-func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*Job, bool) {
-	job, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, &apiError{status: http.StatusNotFound,
-			msg: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
-	}
-	return job, ok
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if job, ok := s.lookupJob(w, r); ok {
-		writeJSON(w, http.StatusOK, job.status(true))
-	}
-}
-
-// handleCancel cancels a queued or running job. Cancelling a terminal job is
-// a no-op that reports the final state.
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.lookupJob(w, r)
-	if !ok {
-		return
-	}
-	job.markCancelled() // queued → cancelled immediately
-	job.cancel()        // running → engine unwinds via ctx, worker calls finish
-	writeJSON(w, http.StatusOK, job.status(true))
-}
-
-// sseRetryHint is the reconnect delay SSE streams advertise to clients.
-const sseRetryHint = 2 * time.Second
-
-// startSSE emits the stream headers, a retry hint, and an immediate flush,
-// returning the flusher (or false when the writer cannot stream). The
-// retry hint and the keepalive ticker the handlers run afterwards are what
-// keep an idle stream alive across proxies: without them a stream attached
-// to a job stuck behind a full queue writes nothing after the headers
-// until the job starts, and an intermediary severs it long before that.
-func startSSE(w http.ResponseWriter) (http.Flusher, bool) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, &apiError{status: http.StatusInternalServerError, msg: "response writer cannot stream"})
-		return nil, false
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, "retry: %d\n\n", sseRetryHint.Milliseconds())
-	flusher.Flush()
-	return flusher, true
-}
-
-// sseKeepAlive writes one comment frame; proxies pass it through, clients
-// ignore it, and both learn the connection is still alive.
-func sseKeepAlive(w http.ResponseWriter, flusher http.Flusher) {
-	fmt.Fprint(w, ": keepalive\n\n")
-	flusher.Flush()
-}
-
-// handleEvents streams the job's event log as Server-Sent Events: history
-// first, then live events, closing after the terminal "campaign" event. The
-// Last-Event-ID header (or ?after=) resumes a dropped stream; comment
-// keepalives flow while the job is idle (e.g. queued behind a full worker
-// pool).
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.lookupJob(w, r)
-	if !ok {
-		return
-	}
-	// A malformed or negative resume cursor replays from the start rather
-	// than reaching eventsSince with an index that would slice negatively.
-	next := 0
-	if after := cmp.Or(r.Header.Get("Last-Event-ID"), r.URL.Query().Get("after")); after != "" {
-		if n, err := strconv.Atoi(after); err == nil && n >= 0 {
-			next = n + 1
-		}
-	}
-	flusher, ok := startSSE(w)
-	if !ok {
-		return
-	}
-	keepalive := time.NewTicker(s.cfg.SSEKeepAlive)
-	defer keepalive.Stop()
-
-	for {
-		evs, terminal, changed := job.eventsSince(next)
-		for _, ev := range evs {
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
-			next = ev.Seq + 1
-		}
-		if len(evs) > 0 {
-			flusher.Flush()
-		}
-		if terminal {
-			// Everything up to and including the terminal event is out.
-			if evs, _, _ := job.eventsSince(next); len(evs) == 0 {
-				return
-			}
-			continue
-		}
-		select {
-		case <-changed:
-		case <-keepalive.C:
-			sseKeepAlive(w, flusher)
-		case <-r.Context().Done():
-			return
-		case <-s.baseCtx.Done():
-			return
-		}
-	}
-}
-
-// firehosePageSize bounds how many journaled events one deep-resume page
-// pulls back into memory; the handler loops page after page until the
-// cursor reaches the live window.
-const firehosePageSize = 512
-
-// handleFirehose streams every job's events, multiplexed in global-sequence
-// order and tagged with job ids — the fleet dashboard feed. The stream has
-// no terminal event; it runs until the client disconnects or the server
-// shuts down. Last-Event-ID (or ?after=) carries a global sequence, which
-// survives restarts via the journal; a cursor older than the in-memory
-// replay window — any depth, including 0 across a restart — is paged out of
-// the journal until it catches up to the window, then streams live. Only
-// with no journal (or a gap from dropped best-effort writes) does the
-// cursor clamp forward to the oldest retained event.
-func (s *Server) handleFirehose(w http.ResponseWriter, r *http.Request) {
-	var after int64
-	if c := cmp.Or(r.Header.Get("Last-Event-ID"), r.URL.Query().Get("after")); c != "" {
-		if n, err := strconv.ParseInt(c, 10, 64); err == nil && n > 0 {
-			after = n
-		}
-	}
-	flusher, ok := startSSE(w)
-	if !ok {
-		return
-	}
-	keepalive := time.NewTicker(s.cfg.SSEKeepAlive)
-	defer keepalive.Stop()
-
-	emit := func(ev JobEvent) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.GSeq, ev.Type, data)
-		after = ev.GSeq
-		return true
-	}
-	for {
-		evs, changed, inWindow := s.fh.since(after)
-		if !inWindow {
-			if page := s.jn.firehosePage(after, firehosePageSize); len(page) > 0 {
-				for _, ev := range page {
-					if !emit(ev) {
-						return
-					}
-				}
-				flusher.Flush()
-				continue
-			}
-			// Nothing journaled below the window: clamp to its edge. The
-			// low-water mark only rises, so this always makes progress.
-			after = s.fh.lowWater()
-			continue
-		}
-		for _, ev := range evs {
-			if !emit(ev) {
-				return
-			}
-		}
-		if len(evs) > 0 {
-			flusher.Flush()
-		}
-		select {
-		case <-changed:
-		case <-keepalive.C:
-			sseKeepAlive(w, flusher)
-		case <-r.Context().Done():
-			return
-		case <-s.baseCtx.Done():
-			return
-		}
-	}
+	job.Accepted(w)
 }
 
 // matchKey filters store listings by the optional platform/serial query.
@@ -652,7 +470,7 @@ func matchKey(k store.Key, platformQ, serialQ string) bool {
 func (s *Server) forEachListedRecord(w http.ResponseWriter, r *http.Request, fn func(store.Meta, *store.Summary)) bool {
 	metas, err := s.cfg.Store.List()
 	if err != nil {
-		writeError(w, fmt.Errorf("list store: %w", err))
+		WriteError(w, fmt.Errorf("list store: %w", err))
 		return false
 	}
 	q := r.URL.Query()
@@ -687,7 +505,7 @@ func (s *Server) handleFVMs(w http.ResponseWriter, r *http.Request) {
 	}) {
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // handleDeleteFVM removes one stored record — the admin lever behind GC:
@@ -697,20 +515,20 @@ func (s *Server) handleFVMs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteFVM(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !store.ValidID(id) {
-		writeError(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("no FVM %q", id)})
+		WriteError(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("no FVM %q", id)})
 		return
 	}
 	m, ok, err := s.cfg.Store.Delete(id)
 	if err != nil {
-		writeError(w, fmt.Errorf("delete record %s: %w", id, err))
+		WriteError(w, fmt.Errorf("delete record %s: %w", id, err))
 		return
 	}
 	if !ok {
-		writeError(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("no FVM %q", id)})
+		WriteError(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("no FVM %q", id)})
 		return
 	}
 	s.cache.Invalidate(engine.CacheKeyFromStore(m.Key))
-	writeJSON(w, http.StatusOK, map[string]any{"deleted": id})
+	WriteJSON(w, http.StatusOK, map[string]any{"deleted": id})
 }
 
 // handleFVM returns one stored record's full Fault Variation Map.
@@ -719,19 +537,19 @@ func (s *Server) handleFVM(w http.ResponseWriter, r *http.Request) {
 	if !store.ValidID(id) {
 		// Not an address at all (including traversal attempts): 404, and
 		// the store layer independently refuses to touch the filesystem.
-		writeError(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("no FVM %q", id)})
+		WriteError(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("no FVM %q", id)})
 		return
 	}
 	rec, ok, err := s.cfg.Store.GetID(id)
 	if err != nil {
-		writeError(w, fmt.Errorf("read record %s: %w", id, err))
+		WriteError(w, fmt.Errorf("read record %s: %w", id, err))
 		return
 	}
 	if !ok || rec.FVM == nil {
-		writeError(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("no FVM %q", id)})
+		WriteError(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("no FVM %q", id)})
 		return
 	}
-	writeJSON(w, http.StatusOK, rec.FVM)
+	WriteJSON(w, http.StatusOK, rec.FVM)
 }
 
 // handleVmin reports each stored sweep's observed operating window — the
@@ -752,7 +570,7 @@ func (s *Server) handleVmin(w http.ResponseWriter, r *http.Request) {
 	}) {
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // handleHealth reports liveness, queue pressure, and journal health.
@@ -761,18 +579,17 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	pending := len(s.queue)
 	s.intakeMu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"ok":             !draining,
 		"draining":       draining,
 		"pending":        pending,
 		"workers":        s.cfg.Workers,
-		"journal":        s.jn != nil,
-		"journal_errors": s.jn.errors(),
+		"journal_errors": s.jobs.JournalErrors(),
 	})
 }
 
-// writeJSON emits v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON emits v with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -780,12 +597,19 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// writeError maps an error to its HTTP form (500 unless it is an apiError).
-func writeError(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
+// WriteError answers with err in the ErrorBody envelope. A validation
+// error keeps its status, an *APIStatusError (a downstream daemon's answer,
+// or a coordinator's own refusal) its status and message; anything else is
+// a 500.
+func WriteError(w http.ResponseWriter, err error) {
+	status, msg := http.StatusInternalServerError, err.Error()
 	var ae *apiError
-	if errors.As(err, &ae) {
+	var se *APIStatusError
+	switch {
+	case errors.As(err, &ae):
 		status = ae.status
+	case errors.As(err, &se):
+		status, msg = se.StatusCode, se.Message
 	}
-	writeJSON(w, status, ErrorBody{Error: err.Error()})
+	WriteJSON(w, status, ErrorBody{Error: msg})
 }

@@ -7,11 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/server"
 	"repro/internal/store"
 )
@@ -688,6 +690,58 @@ func TestPatternAndThresholdCampaignsOverAPI(t *testing.T) {
 	// The threshold job's board rows carry the discovered window.
 	if len(thFinal.BoardResults) != 1 || thFinal.BoardResults[0].VminV <= thFinal.BoardResults[0].VcrashV {
 		t.Fatalf("threshold rows %+v", thFinal.BoardResults)
+	}
+}
+
+// TestSampleFromStatusInvertsBoardRows runs every campaign kind on one
+// daemon and folds the inverse of its served board rows with the engine's
+// own aggregation: the result must equal the aggregate the daemon computed
+// from the engine results. A federation coordinator folds exactly these
+// rows, so a kind whose projection and inverse disagree would quietly
+// diverge between one daemon and many.
+func TestSampleFromStatusInvertsBoardRows(t *testing.T) {
+	q, xs, ys := trainedInferenceFixture(t)
+	nnReq, err := server.NewInferenceRequest(inferenceBoards(), q, xs, ys, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boards := []server.BoardSpec{{Platform: "ZC702", Replicas: 2, BRAMs: 24}}
+	fixtures := map[engine.CampaignKind]server.CampaignRequest{
+		engine.Characterization: {Kind: "characterization", Boards: boards, Runs: 3},
+		engine.TemperatureStudy: {Kind: "temperature-study", Boards: boards, Runs: 3,
+			Temperature: &server.TemperatureSpec{Temps: []float64{50, 70}}},
+		engine.NNInference: nnReq,
+		engine.KindPattern: {Kind: "pattern-study", Boards: boards, Runs: 3,
+			Pattern: &server.PatternSpec{Fills: []string{"ffff", "0000"}}},
+		engine.KindThresholds: {Kind: "threshold-discovery", Boards: boards},
+		engine.KindMitigation: server.NewMitigationRequest(boards, server.MitigationSpec{}),
+	}
+	_, client := newService(t, store.NewMem(), server.Config{Workers: 2, FleetWorkers: 2})
+	ctx := context.Background()
+	for _, kind := range engine.Kinds() {
+		req, ok := fixtures[kind]
+		if !ok {
+			t.Errorf("kind %s has no fixture: its board-row inverse is untested", kind)
+			continue
+		}
+		job, err := client.Submit(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		final, err := client.Wait(ctx, job.ID, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if final.State != server.JobDone || final.Aggregate == nil {
+			t.Fatalf("%s job ended %q (%s)", kind, final.State, final.Error)
+		}
+		samples := make([]engine.BoardSample, len(final.BoardResults))
+		for i, bs := range final.BoardResults {
+			samples[i] = server.SampleFromStatus(final.Kind, bs)
+		}
+		if got := engine.AggregateSamples(samples); !reflect.DeepEqual(&got, final.Aggregate) {
+			t.Errorf("%s: folding the served rows gives\n  %+v\nbut the daemon served\n  %+v", kind, got, *final.Aggregate)
+		}
 	}
 }
 

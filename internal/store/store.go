@@ -169,10 +169,8 @@ type Meta struct {
 // table lists jobs in the order they were created and new ids never collide
 // with journaled ones.
 //
-// Since the event log split (PR 6) the payload carries only the job's
-// metadata — its status snapshot — while events are appended separately via
-// AppendJobEvents. Old full-document payloads (status + embedded events)
-// still replay; the service layer migrates them to the split layout once.
+// The payload carries only the job's metadata — its status snapshot —
+// while events are appended separately via AppendJobEvents.
 type JobRecord struct {
 	ID      string          `json:"id"`
 	Seq     int             `json:"seq"`
@@ -336,9 +334,9 @@ func gcVictims(entries map[string]idxEntry, keep int) []string {
 
 // sortDedupEvents orders records by Seq and drops duplicate sequences,
 // keeping the first occurrence. Duplicates are legitimate on-disk states: a
-// crash between sealing a segment and rewriting the tail, or an interrupted
-// full-document migration, leaves the same event in two places, and the
-// contract is that readers — not writers — make the log exactly-once.
+// crash between sealing a segment and rewriting the tail leaves the same
+// event in two places, and the contract is that readers — not writers —
+// make the log exactly-once.
 func sortDedupEvents(evs []EventRecord) []EventRecord {
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
 	out := evs[:0]
