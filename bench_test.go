@@ -598,7 +598,11 @@ func BenchmarkJournalAppend(b *testing.B) {
 // must page back from the journal. The measured pass is the full HTTP SSE
 // round trip, cursor 1 → caught up.
 func BenchmarkFirehoseResumeDeep(b *testing.B) {
-	st := store.NewMem()
+	st, err := store.OpenDisk(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
 	boot := func() (*server.Server, *httptest.Server, *server.Client) {
 		srv, err := server.New(server.Config{
 			Store: st, Workers: 4, QueueDepth: 64,

@@ -92,7 +92,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		healthOk     = fs.Int("health-ok", 2, "consecutive successes that close a tripped breaker again")
 		downTimeout  = fs.Duration("downstream-timeout", 15*time.Second, "deadline on every non-streaming coordinator→daemon call")
 		streamRetry  = fs.Int("stream-retries", 5, "consecutive fruitless event-stream resumes before a shard fails over")
-		jobRetain    = fs.Int("job-retain", 0, "trim a finished job's journaled event log to its last N events; 0 = keep everything")
+		jobRetain    = fs.Int("job-retain", 0, "trim a finished job's journaled event log to at least its last N events (whole sealed segments; resumes below get a truncation marker); 0 = keep everything")
 		authToken    = fs.String("auth-token", "", "bearer token required on mutating endpoints (default $FPGAVOLTCTL_TOKEN; empty = open)")
 		downToken    = fs.String("downstream-token", "", "bearer token presented to the daemons (default $FPGAVOLTD_TOKEN)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight federated jobs")

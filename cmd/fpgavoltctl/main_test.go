@@ -16,7 +16,10 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 	// Two downstream daemons, both requiring the fleet token.
 	var urls []string
 	for i := 0; i < 2; i++ {
-		st := fpgavolt.NewMemStore()
+		st, err := fpgavolt.OpenDiskStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
 		svc, err := fpgavolt.NewService(fpgavolt.ServiceConfig{
 			Store: st, Workers: 1, FleetWorkers: 2, AuthToken: "fleet-token",
 		})
@@ -29,6 +32,7 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 			defer cancel()
 			svc.Shutdown(ctx)
 			ts.Close()
+			st.Close()
 		})
 		urls = append(urls, ts.URL)
 	}

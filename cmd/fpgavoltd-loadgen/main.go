@@ -230,19 +230,31 @@ func run(ctx context.Context, args []string, w io.Writer) int {
 			fmt.Fprintln(w, "fpgavoltd-loadgen:", err)
 			return 2
 		}
-		if jb, ok := st.(interface{ JournalBytes() uint64 }); ok {
-			journalBytes = jb.JournalBytes
-		}
+		defer st.Close()
+		journalBytes = st.JournalBytes
 		if *federate > 0 {
-			// Federated selfhost: N in-process daemons on volatile stores
-			// fronted by a coordinator journaling to the disk store — the
-			// same topology fpgavoltctl serves — so the drop detectors below
-			// run against the coordinator's re-stamped Seq/GSeq numbering
-			// and the journal metric measures the coordinator's log.
+			// Federated selfhost: N in-process daemons, each on a fresh
+			// throwaway disk store, fronted by a coordinator journaling to
+			// the run's store — the same topology fpgavoltctl serves — so
+			// the drop detectors below run against the coordinator's
+			// re-stamped Seq/GSeq numbering and the journal metric measures
+			// the coordinator's log.
 			var urls []string
 			for i := 0; i < *federate; i++ {
+				ddir, err := os.MkdirTemp("", "fpgavoltd-loadgen-daemon-*")
+				if err != nil {
+					fmt.Fprintln(w, "fpgavoltd-loadgen:", err)
+					return 2
+				}
+				defer os.RemoveAll(ddir)
+				dst, err := fpgavolt.OpenDiskStore(ddir)
+				if err != nil {
+					fmt.Fprintln(w, "fpgavoltd-loadgen:", err)
+					return 2
+				}
+				defer dst.Close()
 				dsvc, err := fpgavolt.NewService(fpgavolt.ServiceConfig{
-					Store:      fpgavolt.NewMemStore(),
+					Store:      dst,
 					Workers:    *workers,
 					QueueDepth: *queue,
 					// Every federated job fans out up to one downstream

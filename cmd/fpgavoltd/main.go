@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		maxBoards    = fs.Int("max-boards", 64, "largest fleet one campaign may enroll")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs")
 		gcKeep       = fs.Int("gc-keep", 0, "keep only the newest N store records per (platform, serial); 0 = unbounded")
-		jobRetain    = fs.Int("job-retain", 0, "trim a finished job's journaled event log to its last N events; 0 = keep everything")
+		jobRetain    = fs.Int("job-retain", 0, "trim a finished job's journaled event log to at least its last N events (whole sealed segments; resumes below get a truncation marker); 0 = keep everything")
 		jobLiveSegs  = fs.Int("job-live-segs", 0, "cap a running job's sealed event-log segments; older history is dropped and resumes below it get a truncation marker; 0 = unlimited")
 		authToken    = fs.String("auth-token", "", "bearer token required on mutating endpoints (default $FPGAVOLTD_TOKEN; empty = open)")
 	)
@@ -87,11 +87,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	if *jobLiveSegs > 0 {
-		if capper, ok := st.(interface{ SetLiveSegCap(int) }); ok {
-			capper.SetLiveSegCap(*jobLiveSegs)
-		}
-	}
+	st.SetLiveSegCap(*jobLiveSegs)
 	svc, err := fpgavolt.NewService(fpgavolt.ServiceConfig{
 		Store:        st,
 		Workers:      *workers,

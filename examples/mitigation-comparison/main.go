@@ -30,6 +30,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"os"
 	"reflect"
 	"time"
 
@@ -73,7 +74,18 @@ func main() {
 	agg.Render(log.Writer())
 
 	// --- Pass 2: the same campaign over the wire. ------------------------
-	svc, err := fpgavolt.NewService(fpgavolt.ServiceConfig{Store: fpgavolt.NewMemStore()})
+	// A fresh store, removed on exit, so the daemon starts cold.
+	dir, err := os.MkdirTemp("", "mitigation-comparison-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	st, err := fpgavolt.OpenDiskStore(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer st.Close()
+	svc, err := fpgavolt.NewService(fpgavolt.ServiceConfig{Store: st})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"os"
 	"time"
 
 	"repro/fpgavolt"
@@ -116,7 +117,18 @@ func main() {
 // in-process campaign daemon: submit over HTTP, stream the SSE feed, and
 // return the accuracy curve from the job detail.
 func sweepViaService(ctx context.Context, q *fpgavolt.Quantized, ds *fpgavolt.Dataset) ([]fpgavolt.InferencePoint, error) {
-	svc, err := fpgavolt.NewService(fpgavolt.ServiceConfig{Store: fpgavolt.NewMemStore(), Workers: 1})
+	// A fresh store, removed on return, so the daemon starts cold.
+	dir, err := os.MkdirTemp("", "nn-undervolting-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	st, err := fpgavolt.OpenDiskStore(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	svc, err := fpgavolt.NewService(fpgavolt.ServiceConfig{Store: st, Workers: 1})
 	if err != nil {
 		return nil, err
 	}

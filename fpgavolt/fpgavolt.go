@@ -147,6 +147,9 @@ type (
 	// set FleetOptions.Store (or ServiceConfig.Store) to make campaigns
 	// survive restarts.
 	FVMStore = store.Store
+	// DiskStore is the FVMStore implementation: content-addressed blobs
+	// plus the campaign job journal under one root directory.
+	DiskStore = store.Disk
 	// FVMRecord is one stored characterization product (sweep + FVM).
 	FVMRecord = store.Record
 	// FVMStoreKey identifies one stored measurement.
@@ -419,12 +422,8 @@ func ObservedVmin(s *Sweep) float64 { return engine.ObservedVmin(s) }
 
 // OpenDiskStore opens (or initializes) a durable FVM store rooted at dir.
 // Pass it in FleetOptions.Store to let campaigns survive restarts, or in
-// ServiceConfig.Store to back a Service.
-func OpenDiskStore(dir string) (FVMStore, error) { return store.OpenDisk(dir) }
-
-// NewMemStore returns a hermetic in-memory FVM store (tests, or a service
-// without durability).
-func NewMemStore() FVMStore { return store.NewMem() }
+// ServiceConfig.Store to back a Service. Close it after its last user.
+func OpenDiskStore(dir string) (*DiskStore, error) { return store.OpenDisk(dir) }
 
 // NewFleetCache builds a standalone FVM cache, optionally store-backed, for
 // sharing across fleets via FleetOptions.Cache (st may be nil).

@@ -10,11 +10,15 @@ import (
 )
 
 // TestServicePublicAPI drives the campaign service purely through the
-// public package: NewService + NewServiceClient over an in-memory store,
+// public package: NewService + NewServiceClient over a disk store,
 // submit → stream → query, then a fleet built directly on the same store
 // confirming the service's characterizations are reusable library-side.
 func TestServicePublicAPI(t *testing.T) {
-	st := fpgavolt.NewMemStore()
+	st, err := fpgavolt.OpenDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	svc, err := fpgavolt.NewService(fpgavolt.ServiceConfig{Store: st, Workers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,27 @@ import (
 	"repro/internal/store"
 )
 
+// newStore opens a Disk store in a fresh temp dir, closed in cleanup.
+func newStore(t *testing.T) *store.Disk {
+	t.Helper()
+	st, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// storeLen counts the records st lists.
+func storeLen(t *testing.T, st store.Store) int {
+	t.Helper()
+	metas, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(metas)
+}
+
 // TestFleetSurvivesRestart is the durability acceptance test: a campaign run
 // through a fleet backed by the disk store, then re-run after a simulated
 // process restart (a brand-new Fleet and a re-opened store over the same
@@ -109,7 +130,7 @@ func TestFleetSurvivesRestart(t *testing.T) {
 // every board must still be measured exactly once — the loser of each
 // per-key race waits for the winner instead of re-sweeping.
 func TestSharedCacheSingleflight(t *testing.T) {
-	st := store.NewMem()
+	st := newStore(t)
 	shared := NewFVMCache(0)
 	shared.SetBacking(st)
 	var ps []platform.Platform
@@ -143,8 +164,8 @@ func TestSharedCacheSingleflight(t *testing.T) {
 	if total := f1.Characterizations() + f2.Characterizations(); total != 8 {
 		t.Fatalf("two concurrent campaigns ran %d sweeps, want 8 (one per die)", total)
 	}
-	if st.Len() != 8 {
-		t.Fatalf("store holds %d records, want 8", st.Len())
+	if storeLen(t, st) != 8 {
+		t.Fatalf("store holds %d records, want 8", storeLen(t, st))
 	}
 }
 
@@ -193,7 +214,7 @@ func TestGetOrComputeRetriesAfterFailedFlight(t *testing.T) {
 // TestFleetStoreSharedAcrossFleets covers the service shape: two live fleets
 // (two concurrent jobs) over one store share characterization work.
 func TestFleetStoreSharedAcrossFleets(t *testing.T) {
-	st := store.NewMem()
+	st := newStore(t)
 	ps := platform.VC707().Scaled(24).Replicas(3)
 	c := Campaign{Kind: Characterization, Sweep: fastSweep()}
 	ctx := context.Background()
@@ -226,7 +247,7 @@ func TestCacheKeyIncludesGeometry(t *testing.T) {
 		t.Fatal("different pool sizes share a cache key")
 	}
 
-	st := store.NewMem()
+	st := newStore(t)
 	ctx := context.Background()
 	c := Campaign{Kind: Characterization, Sweep: fastSweep()}
 	f1 := NewFleet([]platform.Platform{small}, Options{Store: st})
@@ -244,22 +265,22 @@ func TestCacheKeyIncludesGeometry(t *testing.T) {
 	if got := res.Boards[0].FVM.NumSites(); got != 48 {
 		t.Fatalf("FVM has %d sites, want 48", got)
 	}
-	if st.Len() != 2 {
-		t.Fatalf("store holds %d records, want 2 distinct geometries", st.Len())
+	if storeLen(t, st) != 2 {
+		t.Fatalf("store holds %d records, want 2 distinct geometries", storeLen(t, st))
 	}
 }
 
 // TestFleetSkipCacheStillWritesThrough: SkipCache forces a fresh sweep but
 // the fresh result must still land in the store.
 func TestFleetSkipCacheStillWritesThrough(t *testing.T) {
-	st := store.NewMem()
+	st := newStore(t)
 	ps := platform.ZC702().Scaled(24).Replicas(1)
 	f := NewFleet(ps, Options{Store: st})
 	ctx := context.Background()
 	if _, err := f.RunCampaign(ctx, Campaign{Kind: Characterization, Sweep: fastSweep(), SkipCache: true}); err != nil {
 		t.Fatal(err)
 	}
-	if st.Len() != 1 {
-		t.Fatalf("store holds %d records after SkipCache campaign, want 1", st.Len())
+	if storeLen(t, st) != 1 {
+		t.Fatalf("store holds %d records after SkipCache campaign, want 1", storeLen(t, st))
 	}
 }

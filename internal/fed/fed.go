@@ -18,7 +18,6 @@ package fed
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -41,7 +40,7 @@ type Config struct {
 	Downstreams []string
 	// Store is the coordinator's own journal: federated jobs, their
 	// re-stamped event logs, and the global firehose sequence persist here.
-	// Required; use store.NewMem() for a non-durable coordinator.
+	// Required.
 	Store store.Store
 	// MaxBoards caps a federated campaign's fleet size (default 256 — the
 	// federation exists to run fleets bigger than one daemon's default 64).
@@ -291,16 +290,9 @@ func (c *Coordinator) callCtx(parent context.Context) (context.Context, context.
 // --- HTTP handlers ----------------------------------------------------
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 48<<20))
+	req, err := server.DecodeSubmit(w, r)
 	if err != nil {
-		server.WriteError(w, &server.APIStatusError{StatusCode: http.StatusRequestEntityTooLarge,
-			Message: "request body too large"})
-		return
-	}
-	var req server.CampaignRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		server.WriteError(w, &server.APIStatusError{StatusCode: http.StatusBadRequest,
-			Message: fmt.Sprintf("decode request: %v", err)})
+		server.WriteError(w, err)
 		return
 	}
 	// Validate up front: a bad submission is a 400 at the coordinator, not

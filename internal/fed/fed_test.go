@@ -1,6 +1,7 @@
 package fed_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -14,6 +15,18 @@ import (
 	"repro/internal/store"
 )
 
+// newStore opens a Disk store in a fresh temp dir. It closes in cleanup,
+// after any service registered later has shut down.
+func newStore(t testing.TB) *store.Disk {
+	t.Helper()
+	st, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
 // daemon is one downstream fpgavoltd under test, with a kill switch that
 // simulates process death: the listener closes (new connections refused,
 // health probes included) and every live connection — SSE streams
@@ -26,7 +39,7 @@ type daemon struct {
 func newDaemon(t *testing.T, cfg server.Config) *daemon {
 	t.Helper()
 	if cfg.Store == nil {
-		cfg.Store = store.NewMem()
+		cfg.Store = newStore(t)
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
@@ -58,7 +71,7 @@ func (d *daemon) kill() {
 func newFed(t *testing.T, cfg fed.Config) (*fed.Coordinator, *server.Client) {
 	t.Helper()
 	if cfg.Store == nil {
-		cfg.Store = store.NewMem()
+		cfg.Store = newStore(t)
 	}
 	if cfg.HealthEvery == 0 {
 		cfg.HealthEvery = 50 * time.Millisecond
@@ -88,6 +101,36 @@ func fleetCampaign() server.CampaignRequest {
 			{Platform: "ZC702", Replicas: 2, BRAMs: 24},
 		},
 		Runs: 3,
+	}
+}
+
+// TestOversizedSubmitRefusedByBoth pins the one submit decoder the daemon
+// and the coordinator share: a characterization body padded past the 1 MiB
+// cap for every kind but nn-inference gets the same 413 from either.
+func TestOversizedSubmitRefusedByBoth(t *testing.T) {
+	d := newDaemon(t, server.Config{})
+	_, fc := newFed(t, fed.Config{Downstreams: []string{d.URL}})
+	body, err := json.Marshal(fleetCampaign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = append(body, bytes.Repeat([]byte(" "), 2<<20)...) // still valid JSON
+	var msgs []string
+	for _, base := range []string{d.URL, fc.BaseURL()} {
+		resp, err := http.Post(base+"/v1/campaigns", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb server.ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || err != nil {
+			t.Fatalf("%s answered %d (%q, %v), want 413", base, resp.StatusCode, eb.Error, err)
+		}
+		msgs = append(msgs, eb.Error)
+	}
+	if msgs[0] != msgs[1] {
+		t.Fatalf("daemon and coordinator refuse differently: %q vs %q", msgs[0], msgs[1])
 	}
 }
 
@@ -254,7 +297,7 @@ func TestFederatedMatchesSingleDaemon(t *testing.T) {
 // serve the identical aggregate and per-board arm curves from its journal.
 func TestMitigationJournalRoundTrip(t *testing.T) {
 	ctx := context.Background()
-	st := store.NewMem()
+	st := newStore(t)
 	cfg := server.Config{Store: st, Workers: 1, FleetWorkers: 2}
 
 	srv1, err := server.New(cfg)
@@ -421,7 +464,7 @@ func TestDaemonDeathMidCampaign(t *testing.T) {
 func TestCoordinatorRestartResume(t *testing.T) {
 	ctx := context.Background()
 	d1 := newDaemon(t, server.Config{})
-	st := store.NewMem() // shared across both coordinator lives
+	st := newStore(t) // shared across both coordinator lives
 
 	// First life: run one campaign to completion.
 	req := fleetCampaign()

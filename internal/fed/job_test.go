@@ -43,7 +43,12 @@ func (r *seqRecorder) AppendJobEvents(id string, evs []store.EventRecord) error 
 // gap no truncated marker explains.
 func TestConcurrentAppendOrdered(t *testing.T) {
 	ctx := context.Background()
-	rec := &seqRecorder{Store: store.NewMem(), last: map[string]int{}}
+	disk, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { disk.Close() })
+	rec := &seqRecorder{Store: disk, last: map[string]int{}}
 	c, err := New(Config{
 		Downstreams:   []string{"http://127.0.0.1:1"}, // never called: no job is scheduled
 		Store:         rec,

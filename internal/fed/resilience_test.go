@@ -277,7 +277,7 @@ func (*injectedDiskError) Error() string { return "injected: journal device fail
 func TestCoordinatorJournalDegraded(t *testing.T) {
 	ctx := context.Background()
 	d1 := newDaemon(t, server.Config{})
-	fs := &failingStore{Store: store.NewMem()}
+	fs := &failingStore{Store: newStore(t)}
 	_, fc := newFed(t, fed.Config{Downstreams: []string{d1.URL}, Store: fs})
 
 	job, err := fc.Submit(ctx, fleetCampaign())

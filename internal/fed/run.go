@@ -320,9 +320,7 @@ func (c *Coordinator) waitChunk(j *fedJob, cl *server.Client, daemon, jobID stri
 		if j.job.Context().Err() != nil {
 			return server.JobStatus{}, err
 		}
-		var se *server.APIStatusError
-		if errors.As(err, &se) && se.StatusCode >= 400 && se.StatusCode < 500 &&
-			se.StatusCode != http.StatusRequestTimeout && se.StatusCode != http.StatusTooManyRequests {
+		if permanentRefusal(err) {
 			return server.JobStatus{}, err
 		}
 		c.health.fail(daemon)
@@ -357,9 +355,7 @@ func (c *Coordinator) finalStatus(ctx context.Context, cl *server.Client, daemon
 			return st, nil
 		}
 		last = err
-		var se *server.APIStatusError
-		if errors.As(err, &se) && se.StatusCode >= 400 && se.StatusCode < 500 &&
-			se.StatusCode != http.StatusRequestTimeout && se.StatusCode != http.StatusTooManyRequests {
+		if permanentRefusal(err) {
 			return server.JobStatus{}, err
 		}
 		c.health.fail(daemon)
@@ -368,6 +364,15 @@ func (c *Coordinator) finalStatus(ctx context.Context, cl *server.Client, daemon
 		}
 	}
 	return server.JobStatus{}, fmt.Errorf("final status: %w", last)
+}
+
+// permanentRefusal reports whether err is a downstream 4xx other than 408
+// and 429: the daemon understood the request and refused it, so retrying
+// it, here or on another daemon, cannot succeed.
+func permanentRefusal(err error) bool {
+	var se *server.APIStatusError
+	return errors.As(err, &se) && se.StatusCode >= 400 && se.StatusCode < 500 &&
+		se.StatusCode != http.StatusRequestTimeout && se.StatusCode != http.StatusTooManyRequests
 }
 
 // chunkFailed routes one failed chunk attempt: permanent request rejections
@@ -379,15 +384,13 @@ func (c *Coordinator) chunkFailed(j *fedJob, s *sched, daemon string, ch *chunk,
 	reason := err.Error()
 	var se *server.APIStatusError
 	switch {
-	case errors.As(err, &se):
-		if se.StatusCode >= 400 && se.StatusCode < 500 && se.StatusCode != http.StatusRequestTimeout && se.StatusCode != http.StatusTooManyRequests {
-			// The daemon understood the request and refused it (bad token,
-			// disagreeing validation). Deterministic — no daemon will differ.
-			j.failBoards(ch, reason)
-			s.done()
-			return
-		}
-	default:
+	case permanentRefusal(err):
+		// The daemon understood the request and refused it (bad token,
+		// disagreeing validation). Deterministic — no daemon will differ.
+		j.failBoards(ch, reason)
+		s.done()
+		return
+	case !errors.As(err, &se):
 		// Transport-level death: unambiguous evidence, so trip the breaker
 		// open immediately — waiting out failN probe ticks would stall the
 		// chunk's migration to a survivor.

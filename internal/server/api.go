@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"strconv"
 	"time"
 
@@ -204,7 +205,7 @@ func (req *CampaignRequest) foldScoped() error {
 }
 
 // campaign compiles the request into an engine campaign. Validation errors
-// are returned as *apiError with a 400 status.
+// are returned as *APIStatusError with a 400 status.
 func (r *CampaignRequest) campaign() (engine.Campaign, error) {
 	kind, err := engine.KindByName(r.Kind)
 	if err != nil {
@@ -712,9 +713,10 @@ type ShardRetry struct {
 // to — both persist in the journal, so cursors survive restarts.
 //
 // A "truncated" event is synthetic: the daemon's journal dropped the job's
-// event history through Seq (the -job-live-segs cap evicted it mid-flight),
-// so a resume from earlier than that cannot be satisfied by anyone. Clients
-// should treat it as "events ≤ Seq are gone" and continue from Seq+1.
+// event history through Seq (the -job-live-segs cap evicted it mid-flight,
+// or -job-retain trimmed it once the job finished), so a resume from
+// earlier than that cannot be satisfied by anyone. Clients should treat it
+// as "events ≤ Seq are gone" and continue from Seq+1.
 //
 // A "journal_degraded" event marks that a journal write for this job failed
 // (full or failing disk): the job keeps running and the live stream stays
@@ -788,16 +790,20 @@ type VminList struct {
 	Missing []string   `json:"missing,omitempty"`
 }
 
-// apiError carries an HTTP status with a message.
-type apiError struct {
-	status int
-	msg    string
+// APIStatusError is an error that carries an HTTP status: a non-2xx
+// response a Client received, or a refusal a handler answers through
+// WriteError, which puts Message on the wire.
+type APIStatusError struct {
+	StatusCode int
+	Message    string
 }
 
-func (e *apiError) Error() string { return e.msg }
+func (e *APIStatusError) Error() string {
+	return fmt.Sprintf("service returned %d: %s", e.StatusCode, e.Message)
+}
 
-func badRequestf(format string, args ...any) *apiError {
-	return &apiError{status: 400, msg: fmt.Sprintf(format, args...)}
+func badRequestf(format string, args ...any) *APIStatusError {
+	return &APIStatusError{StatusCode: http.StatusBadRequest, Message: fmt.Sprintf(format, args...)}
 }
 
 // ErrorBody is the one JSON error envelope every non-2xx response uses —

@@ -2,14 +2,13 @@ package server_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/store"
 )
 
 // wantStatus asserts err is an APIStatusError with the given code.
@@ -22,7 +21,7 @@ func wantStatus(t *testing.T, err error, code int) {
 }
 
 func TestAuthTokenGatesMutations(t *testing.T) {
-	st := store.NewMem()
+	st := newStore(t)
 	_, open := newService(t, st, server.Config{Workers: 1, FleetWorkers: 2, AuthToken: "s3cret", GCKeep: 4})
 	ctx := context.Background()
 
@@ -78,7 +77,7 @@ func TestAuthTokenGatesMutations(t *testing.T) {
 }
 
 func TestGCEndpointReboundsStore(t *testing.T) {
-	st := store.NewMem()
+	st := newStore(t)
 	_, client := newService(t, st, server.Config{Workers: 1, FleetWorkers: 2})
 	ctx := context.Background()
 
@@ -123,44 +122,50 @@ func TestGCEndpointReboundsStore(t *testing.T) {
 	}
 }
 
+// TestJobRetainTrimsTerminalJournal pins -job-retain's truncation contract
+// over the API. Retention drops whole sealed segments of a finished job, and
+// a stream from the start then leads with the same truncated marker the
+// live-segment cap leaves, followed by the kept suffix. One-event segments
+// make the trim exact: the 5-event job keeps Seqs 3 and 4.
 func TestJobRetainTrimsTerminalJournal(t *testing.T) {
-	st := store.NewMem()
-	_, client := newService(t, st, server.Config{Workers: 1, FleetWorkers: 2, JobRetain: 2})
+	st := newStore(t)
+	st.SetEventLogTuning(1, 1<<30) // one-event segments, manual compaction only
+	cfg := server.Config{Workers: 1, FleetWorkers: 2, JobRetain: 2}
+	srv1, client1 := newService(t, st, cfg)
 	ctx := context.Background()
 
-	job, err := client.Submit(ctx, smallCampaign())
+	job, err := client1.Submit(ctx, smallCampaign())
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := client.Wait(ctx, job.ID, nil)
+	final, err := client1.Wait(ctx, job.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if final.State != server.JobDone {
 		t.Fatalf("job finished %q, want done", final.State)
 	}
-	// The trim runs in the worker just after the terminal journal write;
-	// Wait returns on the SSE terminal event, which can race ahead of it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		evs, err := st.ReadJobEvents(job.ID, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(evs) == 2 {
-			// The retained suffix ends with the terminal campaign event.
-			var last server.JobEvent
-			if err := json.Unmarshal(evs[1].Payload, &last); err != nil {
-				t.Fatal(err)
-			}
-			if last.Type != "campaign" {
-				t.Fatalf("retained tail ends with %q, want the terminal campaign event", last.Type)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("journal still holds %d events, want the retained 2", len(evs))
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Nothing was sealed when the job finished, so its retention pass had
+	// nothing to drop. Seal every event, then boot a second service on the
+	// same store: its replay applies retention to the finished job.
+	sctx, scancel := context.WithTimeout(ctx, 30*time.Second)
+	defer scancel()
+	if err := srv1.Shutdown(sctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CompactJob(job.ID); err != nil {
+		t.Fatal(err)
+	}
+	_, client2 := newService(t, st, cfg)
+
+	var got []string
+	if err := client2.Events(ctx, job.ID, func(ev server.JobEvent) error {
+		got = append(got, fmt.Sprintf("%d:%s", ev.Seq, ev.Type))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[2:truncated 3:done 4:campaign]"; fmt.Sprint(got) != want {
+		t.Fatalf("stream after retention = %v, want %s", got, want)
 	}
 }

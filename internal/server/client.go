@@ -89,16 +89,6 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	return nil
 }
 
-// APIStatusError is a non-2xx service response.
-type APIStatusError struct {
-	StatusCode int
-	Message    string
-}
-
-func (e *APIStatusError) Error() string {
-	return fmt.Sprintf("service returned %d: %s", e.StatusCode, e.Message)
-}
-
 func decodeAPIError(resp *http.Response) error {
 	var body ErrorBody
 	msg := resp.Status

@@ -41,7 +41,7 @@ func (errDiskDied) Error() string { return "injected: journal device failed" }
 // a real Seq, so the stream stays dense), and /healthz counts the errors.
 func TestJournalFailureDegradesNotFails(t *testing.T) {
 	ctx := context.Background()
-	fs := &doneFailStore{Store: store.NewMem()}
+	fs := &doneFailStore{Store: newStore(t)}
 	_, client := newService(t, fs, server.Config{Workers: 1, FleetWorkers: 2})
 
 	job, err := client.Submit(ctx, smallCampaign())

@@ -11,7 +11,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/platform"
 	"repro/internal/server"
-	"repro/internal/store"
 )
 
 // trainedInferenceFixture trains a small classifier and returns its
@@ -55,7 +54,7 @@ func localInventory(t *testing.T) []platform.Platform {
 
 func TestInferenceCampaignOverHTTPMatchesLocalRun(t *testing.T) {
 	q, xs, ys := trainedInferenceFixture(t)
-	st := store.NewMem()
+	st := newStore(t)
 	_, client := newService(t, st, server.Config{Workers: 1, FleetWorkers: 2})
 	ctx := context.Background()
 
@@ -123,7 +122,7 @@ func TestInferenceCampaignOverHTTPMatchesLocalRun(t *testing.T) {
 
 func TestInferenceJobSurvivesRestart(t *testing.T) {
 	q, xs, ys := trainedInferenceFixture(t)
-	st := store.NewMem()
+	st := newStore(t)
 	srv1, client1 := newService(t, st, server.Config{Workers: 1})
 	ctx := context.Background()
 
@@ -173,7 +172,7 @@ func TestInferenceJobSurvivesRestart(t *testing.T) {
 
 func TestInferenceSubmissionValidation(t *testing.T) {
 	q, xs, ys := trainedInferenceFixture(t)
-	_, client := newService(t, store.NewMem(), server.Config{Workers: 1})
+	_, client := newService(t, newStore(t), server.Config{Workers: 1})
 	ctx := context.Background()
 
 	status := func(t *testing.T, err error) int {

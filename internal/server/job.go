@@ -480,8 +480,8 @@ func (t *JobTable) lookupJob(w http.ResponseWriter, r *http.Request) (*Job, bool
 	job, ok := t.jobs[r.PathValue("id")]
 	t.mu.Unlock()
 	if !ok {
-		WriteError(w, &apiError{status: http.StatusNotFound,
-			msg: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
+		WriteError(w, &APIStatusError{StatusCode: http.StatusNotFound,
+			Message: fmt.Sprintf("unknown job %q", r.PathValue("id"))})
 	}
 	return job, ok
 }
@@ -516,7 +516,7 @@ const sseRetryHint = 2 * time.Second
 func startSSE(w http.ResponseWriter) (http.Flusher, bool) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		WriteError(w, &apiError{status: http.StatusInternalServerError, msg: "response writer cannot stream"})
+		WriteError(w, &APIStatusError{StatusCode: http.StatusInternalServerError, Message: "response writer cannot stream"})
 		return nil, false
 	}
 	h := w.Header()

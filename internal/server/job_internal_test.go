@@ -19,6 +19,17 @@ func newTestTable(t *testing.T, st store.Store, max int) *JobTable {
 	return tbl
 }
 
+// newStore opens a Disk store in a fresh temp dir, closed in cleanup.
+func newStore(t testing.TB) *store.Disk {
+	t.Helper()
+	st, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
 // deleteRecorder records the job ids the journal deletes, in call order.
 type deleteRecorder struct {
 	store.Store
@@ -52,7 +63,7 @@ func TestFinishClassifiesCancellation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			j := newTestTable(t, store.NewMem(), 0).Create("characterization", 0, nil)
+			j := newTestTable(t, newStore(t), 0).Create("characterization", 0, nil)
 			if !j.SetRunning() {
 				t.Fatal("setRunning refused a queued job")
 			}
@@ -73,7 +84,7 @@ func TestFinishClassifiesCancellation(t *testing.T) {
 // finish, not wait for the next submission, and eviction reports the
 // dropped ids (oldest first) in one pass.
 func TestEvictOnCompletion(t *testing.T) {
-	rec := &deleteRecorder{Store: store.NewMem()}
+	rec := &deleteRecorder{Store: newStore(t)}
 	tbl := newTestTable(t, rec, 2)
 	var jobs []*Job
 	for i := 0; i < 4; i++ {

@@ -22,8 +22,7 @@ type jobMeta struct {
 // just the FVMs it produced — survives a restart. Job metadata is one
 // record, rewritten only on state transitions; events are appended to the
 // store's per-job event log, one O(1) write each, and read back in pages
-// for deep SSE/firehose resume. A service that needs no durability
-// journals into store.NewMem().
+// for deep SSE/firehose resume.
 //
 // Journal writes are deliberately best-effort: a full disk must degrade
 // the service (jobs forgotten on restart), not fail live campaigns.

@@ -43,7 +43,7 @@ var errStopStream = errors.New("stop stream")
 // firehose cursor that resumes across the restart, and FVM listings served
 // without a single blob read.
 func TestJournalRestartIntegration(t *testing.T) {
-	mem := store.NewMem()
+	mem := newStore(t)
 	cs := &countingStore{Store: mem}
 	srv1, client1 := newService(t, cs, server.Config{Workers: 2, FleetWorkers: 2})
 	ctx := context.Background()
@@ -270,7 +270,7 @@ func readSSEIDs(t *testing.T, resp *http.Response) []int {
 // restart from cursor 1 — because anything older than the windows is paged
 // out of the journal on demand.
 func TestDeepResumeWithEvictedWindow(t *testing.T) {
-	mem := store.NewMem()
+	mem := newStore(t)
 	cfg := server.Config{Workers: 1, JobEventWindow: 4, FirehoseBuffer: 4}
 	srv1, client1 := newService(t, mem, cfg)
 	ctx := context.Background()
@@ -382,7 +382,7 @@ func TestDeepResumeWithEvictedWindow(t *testing.T) {
 // must come back failed with a restart marker, its stream must terminate,
 // and new submissions must not reuse its id.
 func TestJournalReplaysInterruptedJobAsFailed(t *testing.T) {
-	mem := store.NewMem()
+	mem := newStore(t)
 	payload := `{
 		"status": {"id": "job-0001", "kind": "characterization", "state": "running",
 		           "boards": 1, "progress": 40, "created": "2026-07-26T10:00:00Z"}
@@ -439,7 +439,7 @@ func TestJournalReplaysInterruptedJobAsFailed(t *testing.T) {
 // nothing after the headers, so proxies severed it. Now a retry hint and
 // periodic comment frames flow while the job waits.
 func TestSSEKeepaliveWhileQueued(t *testing.T) {
-	_, client := newService(t, store.NewMem(), server.Config{
+	_, client := newService(t, newStore(t), server.Config{
 		Workers: 1, SSEKeepAlive: 20 * time.Millisecond,
 	})
 	ctx := context.Background()
@@ -512,7 +512,7 @@ func TestSSEKeepaliveWhileQueued(t *testing.T) {
 // DELETE removes a record from both the store and the in-memory cache (so
 // a re-submitted campaign re-measures instead of resurrecting it).
 func TestStoreGCAndAdminDelete(t *testing.T) {
-	_, client := newService(t, store.NewMem(), server.Config{Workers: 1, GCKeep: 1})
+	_, client := newService(t, newStore(t), server.Config{Workers: 1, GCKeep: 1})
 	ctx := context.Background()
 	submit := func(runs int) server.JobStatus {
 		t.Helper()

@@ -12,14 +12,13 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/server"
-	"repro/internal/store"
 )
 
 // TestMitigationCampaignOverHTTP drives a mitigation campaign end to end
 // through the wire API: kind-scoped submission, per-level SSE events, and a
 // finished JobStatus carrying every arm's full curve.
 func TestMitigationCampaignOverHTTP(t *testing.T) {
-	_, client := newService(t, store.NewMem(), server.Config{Workers: 1, FleetWorkers: 2})
+	_, client := newService(t, newStore(t), server.Config{Workers: 1, FleetWorkers: 2})
 	ctx := context.Background()
 
 	job, err := client.SubmitMitigation(ctx,
@@ -102,7 +101,7 @@ func postRaw(t *testing.T, base, body string) (int, server.ErrorBody) {
 // sub-objects on the wrong kind, flat/scoped conflicts, and malformed
 // mitigation specs — every one answered in the ErrorBody envelope.
 func TestScopedRequestValidationOverHTTP(t *testing.T) {
-	_, client := newService(t, store.NewMem(), server.Config{Workers: 1})
+	_, client := newService(t, newStore(t), server.Config{Workers: 1})
 	base := client.BaseURL()
 	boards := `"boards":[{"platform":"VC707","brams":24}]`
 
@@ -170,7 +169,7 @@ func TestScopedRequestValidationOverHTTP(t *testing.T) {
 // string.
 func TestAdmissionControl503Envelope(t *testing.T) {
 	ctx := context.Background()
-	_, client := newService(t, store.NewMem(), server.Config{Workers: 1, QueueDepth: 1})
+	_, client := newService(t, newStore(t), server.Config{Workers: 1, QueueDepth: 1})
 	long := server.CampaignRequest{
 		Kind:   "characterization",
 		Boards: []server.BoardSpec{{Platform: "VC707", Replicas: 2, BRAMs: 2060}},

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/store"
 )
 
 // TestConcurrentStreamsCancelAndShutdown drives several SSE consumers —
@@ -21,7 +20,7 @@ import (
 // observe exactly one terminal event, the firehose is strictly ordered,
 // and shutdown releases a live firehose subscriber cleanly.
 func TestConcurrentStreamsCancelAndShutdown(t *testing.T) {
-	srv, client := newService(t, store.NewMem(), server.Config{
+	srv, client := newService(t, newStore(t), server.Config{
 		Workers: 2, FleetWorkers: 2, SSEKeepAlive: 5 * time.Millisecond,
 	})
 	ctx := context.Background()

@@ -57,7 +57,7 @@ import (
 // Config tunes a server.
 type Config struct {
 	// Store backs every campaign's FVM cache and the query endpoints.
-	// Required; use store.NewMem() for a non-durable service.
+	// Required.
 	Store store.Store
 	// Workers bounds how many campaigns run concurrently (default 2).
 	Workers int
@@ -93,8 +93,8 @@ type Config struct {
 	// JobRetain, when > 0, trims a terminal job's durable event log down to
 	// (at least) its last JobRetain events — the Disk store drops whole
 	// sealed segments, never the live tail — bounding journal growth at
-	// federation scale. Deep SSE resume then replays only the retained
-	// suffix. 0 keeps everything.
+	// federation scale. Deep SSE resume then replays a truncated marker and
+	// the retained suffix. 0 keeps everything.
 	JobRetain int
 	// AuthToken, when non-empty, requires `Authorization: Bearer <token>`
 	// on every mutating endpoint (campaign submission, job cancel, FVM
@@ -222,8 +222,8 @@ func RequireAuth(token string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
 		if !ok || subtle.ConstantTimeCompare([]byte(strings.TrimSpace(tok)), want) != 1 {
-			WriteError(w, &apiError{status: http.StatusUnauthorized,
-				msg: "missing or invalid bearer token"})
+			WriteError(w, &APIStatusError{StatusCode: http.StatusUnauthorized,
+				Message: "missing or invalid bearer token"})
 			return
 		}
 		h(w, r)
@@ -291,8 +291,10 @@ func (s *Server) runJob(job *Job, c engine.Campaign, inv []platform.Platform) {
 	res, err := fleet.RunCampaign(job.ctx, c)
 	close(events)
 	<-drained
-	job.Finish(err, resultDetail(res))
+	// GC before Finish streams the terminal event: a client that waits for
+	// it and then lists /v1/fvms must not see records GC is about to drop.
 	s.runGC()
+	job.Finish(err, resultDetail(res))
 }
 
 // jobEvent is the wire form of one engine progress event.
@@ -378,33 +380,43 @@ const (
 	maxNNSubmitBody = 48 << 20
 )
 
-// handleSubmit enqueues a campaign and answers 202 with the queued job.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// DecodeSubmit reads and decodes a campaign submission body, the one
+// decoder the daemon and the federation coordinator share. Only
+// nn-inference bodies may exceed maxSubmitBody. A refusal comes back as an
+// *APIStatusError for WriteError: 413 for an oversized body, 400 for an
+// unreadable or malformed one.
+func DecodeSubmit(w http.ResponseWriter, r *http.Request) (CampaignRequest, error) {
 	// The kind-specific limit can only be enforced after the kind is known
 	// (it lives in the body), so the body is read under the large cap and
 	// re-checked once decoded: a non-NN campaign bigger than the small cap
 	// is rejected with 413. The transient large read is the unavoidable
 	// price of carrying the kind in the document itself.
+	var req CampaignRequest
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxNNSubmitBody))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			WriteError(w, &apiError{status: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("request body exceeds the %d-byte submission limit", maxNNSubmitBody)})
-			return
+			return req, &APIStatusError{StatusCode: http.StatusRequestEntityTooLarge,
+				Message: fmt.Sprintf("request body exceeds the %d-byte submission limit", maxNNSubmitBody)}
 		}
-		WriteError(w, badRequestf("read request: %v", err))
-		return
+		return req, badRequestf("read request: %v", err)
 	}
-	var req CampaignRequest
 	if err := json.Unmarshal(raw, &req); err != nil {
-		WriteError(w, badRequestf("decode request: %v", err))
-		return
+		return req, badRequestf("decode request: %v", err)
 	}
 	if len(raw) > maxSubmitBody && req.Kind != engine.NNInference.String() {
-		WriteError(w, &apiError{status: http.StatusRequestEntityTooLarge,
-			msg: fmt.Sprintf("%q submissions are limited to %d bytes; only nn-inference bodies may be larger",
-				req.Kind, maxSubmitBody)})
+		return req, &APIStatusError{StatusCode: http.StatusRequestEntityTooLarge,
+			Message: fmt.Sprintf("%q submissions are limited to %d bytes; only nn-inference bodies may be larger",
+				req.Kind, maxSubmitBody)}
+	}
+	return req, nil
+}
+
+// handleSubmit enqueues a campaign and answers 202 with the queued job.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := DecodeSubmit(w, r)
+	if err != nil {
+		WriteError(w, err)
 		return
 	}
 	c, err := req.campaign()
@@ -428,7 +440,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// a phantom cancelled job the client was told never existed.
 		s.jobs.remove(job.id)
 		job.cancel()
-		WriteError(w, &apiError{status: http.StatusServiceUnavailable, msg: msg})
+		WriteError(w, &APIStatusError{StatusCode: http.StatusServiceUnavailable, Message: msg})
 	}
 	s.intakeMu.Lock()
 	if s.draining {
@@ -515,7 +527,7 @@ func (s *Server) handleFVMs(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteFVM(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !store.ValidID(id) {
-		WriteError(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("no FVM %q", id)})
+		WriteError(w, &APIStatusError{StatusCode: http.StatusNotFound, Message: fmt.Sprintf("no FVM %q", id)})
 		return
 	}
 	m, ok, err := s.cfg.Store.Delete(id)
@@ -524,7 +536,7 @@ func (s *Server) handleDeleteFVM(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !ok {
-		WriteError(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("no FVM %q", id)})
+		WriteError(w, &APIStatusError{StatusCode: http.StatusNotFound, Message: fmt.Sprintf("no FVM %q", id)})
 		return
 	}
 	s.cache.Invalidate(engine.CacheKeyFromStore(m.Key))
@@ -537,7 +549,7 @@ func (s *Server) handleFVM(w http.ResponseWriter, r *http.Request) {
 	if !store.ValidID(id) {
 		// Not an address at all (including traversal attempts): 404, and
 		// the store layer independently refuses to touch the filesystem.
-		WriteError(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("no FVM %q", id)})
+		WriteError(w, &APIStatusError{StatusCode: http.StatusNotFound, Message: fmt.Sprintf("no FVM %q", id)})
 		return
 	}
 	rec, ok, err := s.cfg.Store.GetID(id)
@@ -546,7 +558,7 @@ func (s *Server) handleFVM(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !ok || rec.FVM == nil {
-		WriteError(w, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("no FVM %q", id)})
+		WriteError(w, &APIStatusError{StatusCode: http.StatusNotFound, Message: fmt.Sprintf("no FVM %q", id)})
 		return
 	}
 	WriteJSON(w, http.StatusOK, rec.FVM)
@@ -597,18 +609,13 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-// WriteError answers with err in the ErrorBody envelope. A validation
-// error keeps its status, an *APIStatusError (a downstream daemon's answer,
-// or a coordinator's own refusal) its status and message; anything else is
-// a 500.
+// WriteError answers with err in the ErrorBody envelope. An
+// *APIStatusError (a refusal, or a downstream daemon's answer) keeps its
+// status and message; anything else is a 500.
 func WriteError(w http.ResponseWriter, err error) {
 	status, msg := http.StatusInternalServerError, err.Error()
-	var ae *apiError
 	var se *APIStatusError
-	switch {
-	case errors.As(err, &ae):
-		status = ae.status
-	case errors.As(err, &se):
+	if errors.As(err, &se) {
 		status, msg = se.StatusCode, se.Message
 	}
 	WriteJSON(w, status, ErrorBody{Error: msg})

@@ -37,6 +37,18 @@ func newService(t *testing.T, st store.Store, cfg server.Config) (*server.Server
 	return srv, server.NewClient(ts.URL, ts.Client())
 }
 
+// newStore opens a Disk store in a fresh temp dir. It closes in cleanup,
+// after any service registered later has shut down.
+func newStore(t testing.TB) *store.Disk {
+	t.Helper()
+	st, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
 // smallCampaign is a fast 2-board characterization request.
 func smallCampaign() server.CampaignRequest {
 	return server.CampaignRequest{
@@ -50,7 +62,7 @@ func smallCampaign() server.CampaignRequest {
 }
 
 func TestSubmitStreamAndQuery(t *testing.T) {
-	st := store.NewMem()
+	st := newStore(t)
 	_, client := newService(t, st, server.Config{Workers: 1, FleetWorkers: 2})
 	ctx := context.Background()
 
@@ -182,7 +194,7 @@ func assertEventStream(t *testing.T, events []server.JobEvent, boards int) {
 }
 
 func TestSSEReplayAfterCompletion(t *testing.T) {
-	_, client := newService(t, store.NewMem(), server.Config{Workers: 1})
+	_, client := newService(t, newStore(t), server.Config{Workers: 1})
 	ctx := context.Background()
 	job, err := client.Submit(ctx, smallCampaign())
 	if err != nil {
@@ -203,7 +215,7 @@ func TestSSEReplayAfterCompletion(t *testing.T) {
 }
 
 func TestCancelMidCampaign(t *testing.T) {
-	_, client := newService(t, store.NewMem(), server.Config{Workers: 1, FleetWorkers: 2})
+	_, client := newService(t, newStore(t), server.Config{Workers: 1, FleetWorkers: 2})
 	ctx := context.Background()
 	// Big enough that it cannot finish before the cancel lands.
 	job, err := client.Submit(ctx, server.CampaignRequest{
@@ -276,7 +288,7 @@ func TestCancelMidCampaign(t *testing.T) {
 }
 
 func TestCancelQueuedJob(t *testing.T) {
-	_, client := newService(t, store.NewMem(), server.Config{Workers: 1, QueueDepth: 4})
+	_, client := newService(t, newStore(t), server.Config{Workers: 1, QueueDepth: 4})
 	ctx := context.Background()
 	// Occupy the single worker...
 	blocker, err := client.Submit(ctx, server.CampaignRequest{
@@ -316,7 +328,7 @@ func TestCancelQueuedJob(t *testing.T) {
 }
 
 func TestValidationAndErrors(t *testing.T) {
-	_, client := newService(t, store.NewMem(), server.Config{Workers: 1, MaxBoards: 4})
+	_, client := newService(t, newStore(t), server.Config{Workers: 1, MaxBoards: 4})
 	ctx := context.Background()
 
 	cases := []struct {
@@ -416,7 +428,7 @@ func TestValidationAndErrors(t *testing.T) {
 }
 
 func TestJobHistoryRetention(t *testing.T) {
-	_, client := newService(t, store.NewMem(), server.Config{Workers: 1, MaxJobHistory: 2})
+	_, client := newService(t, newStore(t), server.Config{Workers: 1, MaxJobHistory: 2})
 	ctx := context.Background()
 	var ids []string
 	for i := 0; i < 4; i++ {
@@ -452,7 +464,7 @@ func TestJobHistoryRetention(t *testing.T) {
 }
 
 func TestSSEMalformedResumeCursor(t *testing.T) {
-	_, client := newService(t, store.NewMem(), server.Config{Workers: 1})
+	_, client := newService(t, newStore(t), server.Config{Workers: 1})
 	ctx := context.Background()
 	job, err := client.Submit(ctx, smallCampaign())
 	if err != nil {
@@ -500,7 +512,7 @@ func TestSSEMalformedResumeCursor(t *testing.T) {
 }
 
 func TestQueueFullLeavesNoPhantomJob(t *testing.T) {
-	_, client := newService(t, store.NewMem(), server.Config{Workers: 1, QueueDepth: 1})
+	_, client := newService(t, newStore(t), server.Config{Workers: 1, QueueDepth: 1})
 	ctx := context.Background()
 	// Sized to hold the worker busy for seconds even on the indexed
 	// count-only read path; cancelled at the end of the test.
@@ -531,7 +543,7 @@ func TestQueueFullLeavesNoPhantomJob(t *testing.T) {
 }
 
 func TestQueueFull(t *testing.T) {
-	_, client := newService(t, store.NewMem(), server.Config{Workers: 1, QueueDepth: 1})
+	_, client := newService(t, newStore(t), server.Config{Workers: 1, QueueDepth: 1})
 	ctx := context.Background()
 	// Sized to hold the worker busy for seconds even on the indexed
 	// count-only read path; cancelled at the end of the test.
@@ -561,7 +573,7 @@ func TestQueueFull(t *testing.T) {
 }
 
 func TestGracefulShutdownDrains(t *testing.T) {
-	st := store.NewMem()
+	st := newStore(t)
 	srv, client := newService(t, st, server.Config{Workers: 1})
 	ctx := context.Background()
 	job, err := client.Submit(ctx, smallCampaign())
@@ -583,8 +595,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if final.State != server.JobDone {
 		t.Fatalf("drained job finished %q, want done", final.State)
 	}
-	if st.Len() != 2 {
-		t.Fatalf("store holds %d records after drain, want 2", st.Len())
+	if metas, _ := st.List(); len(metas) != 2 {
+		t.Fatalf("store holds %d records after drain, want 2", len(metas))
 	}
 	// New submissions are refused while/after draining.
 	_, err = client.Submit(ctx, smallCampaign())
@@ -611,7 +623,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 }
 
 func TestForcedShutdownCancelsJobs(t *testing.T) {
-	srv, client := newService(t, store.NewMem(), server.Config{Workers: 1})
+	srv, client := newService(t, newStore(t), server.Config{Workers: 1})
 	ctx := context.Background()
 	job, err := client.Submit(ctx, server.CampaignRequest{
 		Kind:   "characterization",
@@ -644,7 +656,7 @@ func TestForcedShutdownCancelsJobs(t *testing.T) {
 }
 
 func TestPatternAndThresholdCampaignsOverAPI(t *testing.T) {
-	_, client := newService(t, store.NewMem(), server.Config{Workers: 2})
+	_, client := newService(t, newStore(t), server.Config{Workers: 2})
 	ctx := context.Background()
 
 	pat, err := client.Submit(ctx, server.CampaignRequest{
@@ -716,7 +728,7 @@ func TestSampleFromStatusInvertsBoardRows(t *testing.T) {
 		engine.KindThresholds: {Kind: "threshold-discovery", Boards: boards},
 		engine.KindMitigation: server.NewMitigationRequest(boards, server.MitigationSpec{}),
 	}
-	_, client := newService(t, store.NewMem(), server.Config{Workers: 2, FleetWorkers: 2})
+	_, client := newService(t, newStore(t), server.Config{Workers: 2, FleetWorkers: 2})
 	ctx := context.Background()
 	for _, kind := range engine.Kinds() {
 		req, ok := fixtures[kind]

@@ -12,9 +12,9 @@ import (
 	"strings"
 )
 
-// This file is the Disk half of the per-job event log: the storage that
-// makes journaling a job event O(bytes of that event) instead of O(bytes of
-// the job's whole history).
+// This file is the per-job event log: the storage that makes journaling a
+// job event O(bytes of that event) instead of O(bytes of the job's whole
+// history).
 //
 // Layout per job:
 //
@@ -77,7 +77,7 @@ type jobLog struct {
 	liveTail int       // tail events with Seq >= sealedTo
 	nextSeq  int       // 1 + highest Seq seen anywhere in the log
 	lastG    int64     // highest GSeq seen anywhere in the log
-	minAvail int       // 1 + highest Seq dropped by the live cap; 0 = nothing dropped
+	minAvail int       // 1 + highest Seq dropped (live cap or retention); 0 = nothing dropped
 	truncG   int64     // highest GSeq known dropped (conservative after reopen)
 	f        *os.File  // cached append handle; nil when closed
 }
@@ -303,9 +303,9 @@ func (d *Disk) ReadJobEvents(id string, from, limit int) ([]EventRecord, error) 
 	}
 	out = sortDedupEvents(out)
 	if jl.minAvail > 0 && from < jl.minAvail {
-		// The caller asked for history the live cap dropped: lead the page
-		// with a marker instead of a silent gap, so a deep SSE resume knows
-		// events through minAvail-1 are unrecoverable.
+		// The caller asked for history the live cap or retention dropped:
+		// lead the page with a marker instead of a silent gap, so a deep SSE
+		// resume knows events through minAvail-1 are unrecoverable.
 		marker := EventRecord{Job: id, Seq: jl.minAvail - 1, GSeq: jl.truncG, Truncated: true}
 		out = append([]EventRecord{marker}, out...)
 	}
@@ -359,9 +359,9 @@ func (d *Disk) ReadFirehose(after int64, limit int) ([]EventRecord, error) {
 		minAvail, truncG := jl.minAvail, jl.truncG
 		mu.RUnlock()
 		if minAvail > 0 && truncG > after {
-			// The resume point predates history the live cap dropped: mark
-			// the truncation at its global position so the consumer sees it
-			// before this job's surviving events.
+			// The resume point predates dropped history: mark the truncation
+			// at its global position so the consumer sees it before this
+			// job's surviving events.
 			all = append(all, EventRecord{Job: id, Seq: minAvail - 1, GSeq: truncG, Truncated: true})
 		}
 		evs = sortDedupEvents(evs)
@@ -470,7 +470,9 @@ func (d *Disk) CompactJob(id string) error {
 		jl.sealedTo = sg.maxSeq + 1
 		sealed += d.segSize
 	}
-	d.enforceLiveSegCapLocked(id, jl)
+	if d.liveSegCap > 0 {
+		d.dropSegsLocked(id, jl, len(jl.segs)-d.liveSegCap)
+	}
 	rest := live[sealed:]
 	if sealed == 0 && len(rest) == len(tail) {
 		return nil // nothing sealed, no stale prefix: leave the tail alone
@@ -498,35 +500,31 @@ func (d *Disk) CompactJob(id string) error {
 	return nil
 }
 
-// enforceLiveSegCapLocked drops the oldest sealed segments past the live
-// cap, advancing the log's truncation edge so readers below it get a marker
-// instead of a silent gap. A segment that cannot be unlinked stays indexed
-// and the next compaction retries. Callers hold the job's stripe write lock.
-func (d *Disk) enforceLiveSegCapLocked(id string, jl *jobLog) {
-	if d.liveSegCap <= 0 {
-		return
-	}
-	for len(jl.segs) > d.liveSegCap {
+// dropSegsLocked unlinks the oldest n sealed segments and advances the
+// log's truncation edge past each one, so a read below it gets a Truncated
+// marker instead of a silent gap. It stops at the first segment it cannot
+// unlink: that segment stays indexed, what survives stays contiguous, and
+// the next compaction or trim retries. The live cap and retention both drop
+// through here. Callers hold the job's stripe write lock.
+func (d *Disk) dropSegsLocked(id string, jl *jobLog, n int) {
+	for ; n > 0 && len(jl.segs) > 0; n-- {
 		sg := jl.segs[0]
 		if err := os.Remove(filepath.Join(d.jobSegsDir(id), sg.fileName())); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return
 		}
 		jl.segs = jl.segs[1:]
-		if sg.maxSeq+1 > jl.minAvail {
-			jl.minAvail = sg.maxSeq + 1
-		}
-		if sg.lastG > jl.truncG {
-			jl.truncG = sg.lastG
-		}
+		jl.minAvail = max(jl.minAvail, sg.maxSeq+1)
+		jl.truncG = max(jl.truncG, sg.lastG)
 	}
 }
 
 // TrimJobEvents drops sealed segments whose entire Seq range falls below
 // the job's last keepLast events. Only whole immutable segments go — the
 // live tail and any segment straddling the cutoff stay — so retention is
-// coarse but can never lose an event newer than the bound. This is what
-// keeps a terminal job's journal from pinning its whole event history on
-// disk at federation scale.
+// coarse but can never lose an event newer than the bound. A read below the
+// dropped range starts with the same Truncated marker the live cap leaves.
+// This is what keeps a terminal job's journal from pinning its whole event
+// history on disk at federation scale.
 func (d *Disk) TrimJobEvents(id string, keepLast int) error {
 	if !ValidJobID(id) {
 		return fmt.Errorf("store: malformed job id %q", id)
@@ -542,20 +540,11 @@ func (d *Disk) TrimJobEvents(id string, keepLast int) error {
 		return nil
 	}
 	cutoff := jl.nextSeq - keepLast
-	kept := jl.segs[:0]
-	for _, sg := range jl.segs {
-		if sg.maxSeq < cutoff {
-			if err := os.Remove(filepath.Join(d.jobSegsDir(id), sg.fileName())); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				// Keep the index entry for a segment still on disk; the next
-				// trim retries.
-				kept = append(kept, sg)
-				continue
-			}
-			continue
-		}
-		kept = append(kept, sg)
+	n := 0
+	for n < len(jl.segs) && jl.segs[n].maxSeq < cutoff {
+		n++
 	}
-	jl.segs = kept
+	d.dropSegsLocked(id, jl, n)
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -26,8 +27,8 @@ func appendN(t *testing.T, s Store, id string, from, n int, gbase int64) {
 	}
 }
 
-// eventLogConformance exercises the event-log contract shared by Disk and
-// Mem: append order, range reads, stats, firehose paging, and deletion.
+// eventLogConformance exercises the event-log contract: append order, range
+// reads, stats, firehose paging, and deletion.
 func eventLogConformance(t *testing.T, s Store) {
 	t.Helper()
 	if evs, err := s.ReadJobEvents("job-0001", 0, 0); err != nil || len(evs) != 0 {
@@ -100,10 +101,6 @@ func TestDiskEventLogConformance(t *testing.T) {
 	}
 	defer d.Close()
 	eventLogConformance(t, d)
-}
-
-func TestMemEventLogConformance(t *testing.T) {
-	eventLogConformance(t, NewMem())
 }
 
 // TestDiskEventLogCompaction drives the tail past the threshold, forces a
@@ -344,9 +341,9 @@ func TestEventRecordDedup(t *testing.T) {
 	}
 }
 
-// trimConformance exercises the retention contract both implementations
-// share: at least keepLast events stay readable, older history may go, and
-// the newest events always survive.
+// trimConformance exercises the retention contract: at least keepLast
+// events stay readable, older history may go, and the newest events always
+// survive.
 func trimConformance(t *testing.T, s Store) {
 	t.Helper()
 	const n = 100
@@ -388,8 +385,6 @@ func trimConformance(t *testing.T, s Store) {
 		t.Fatal("trim with a malformed id must fail")
 	}
 }
-
-func TestMemTrimJobEvents(t *testing.T) { trimConformance(t, NewMem()) }
 
 // TestDiskTrimJobEvents compacts most of the log into sealed segments, trims,
 // and asserts old segments are gone from disk while the retained suffix —
@@ -437,41 +432,30 @@ func TestDiskTrimJobEvents(t *testing.T) {
 	}
 }
 
-// TestLiveSegCap exercises the mid-flight retention bound: with a live
-// sealed-segment cap set, compaction drops the oldest sealed segments of a
-// still-appending job, reads below the dropped range lead with a Truncated
-// marker instead of a silent gap, and the truncation edge survives a reopen.
+// TestLiveSegCap pins the truncation contract for both causes of a dropped
+// prefix on one layout: the live sealed-segment cap (compaction drops the
+// oldest sealed segments of a still-appending job) and retention
+// (TrimJobEvents after a manual compaction). Either way, reads below the
+// dropped range lead with the same Truncated marker instead of a silent gap,
+// and the truncation edge survives a reopen.
 func TestLiveSegCap(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetEventLogTuning(4, 1<<30) // tiny segments, manual compaction only
-	d.SetLiveSegCap(2)
-	const n = 40 // seals 10 segments of 4; cap keeps the newest 2
-	appendN(t, d, "job-0001", 0, n, 1)
-	if err := d.CompactJob("job-0001"); err != nil {
-		t.Fatal(err)
-	}
-	segs, _ := os.ReadDir(d.jobSegsDir("job-0001"))
-	if len(segs) != 2 {
-		t.Fatalf("cap left %d sealed segments on disk, want 2", len(segs))
-	}
-	// Seqs 0..31 are gone; 32..39 survive in the two newest segments.
-	const minAvail = n - 2*4
-
-	verify := func(s Store, label string) {
+	const (
+		n        = 40       // seals 10 segments of 4
+		keep     = 2 * 4    // both causes keep the newest 2 segments
+		minAvail = n - keep // Seqs 0..31 are gone; 32..39 survive
+	)
+	verify := func(t *testing.T, s Store, label string) {
 		t.Helper()
 		evs, err := s.ReadJobEvents("job-0001", 0, 0)
 		if err != nil {
 			t.Fatalf("%s: deep read: %v", label, err)
 		}
-		if len(evs) != 1+8 {
-			t.Fatalf("%s: deep read = %d records, want marker + 8 events", label, len(evs))
+		if len(evs) != 1+keep {
+			t.Fatalf("%s: deep read = %d records, want marker + %d events", label, len(evs), keep)
 		}
+		// GSeq = Seq+1 here, so the last dropped event's GSeq is minAvail.
 		m := evs[0]
-		if !m.Truncated || m.Seq != minAvail-1 || m.Job != "job-0001" || len(m.Payload) != 0 {
+		if !m.Truncated || m.Seq != minAvail-1 || m.GSeq != minAvail || m.Job != "job-0001" || len(m.Payload) != 0 {
 			t.Fatalf("%s: deep read must lead with a truncation marker at seq %d, got %+v", label, minAvail-1, m)
 		}
 		for i, ev := range evs[1:] {
@@ -481,22 +465,22 @@ func TestLiveSegCap(t *testing.T) {
 		}
 		// A read at or above the truncation edge sees no marker.
 		evs, _ = s.ReadJobEvents("job-0001", minAvail, 0)
-		if len(evs) != 8 || evs[0].Truncated {
-			t.Fatalf("%s: read from %d = %d records (first truncated=%v), want 8 plain events",
-				label, minAvail, len(evs), len(evs) > 0 && evs[0].Truncated)
+		if len(evs) != keep || evs[0].Truncated {
+			t.Fatalf("%s: read from %d = %d records (first truncated=%v), want %d plain events",
+				label, minAvail, len(evs), len(evs) > 0 && evs[0].Truncated, keep)
 		}
 		// A deep firehose resume carries the marker before the survivors...
 		fh, err := s.ReadFirehose(0, 0)
 		if err != nil {
 			t.Fatalf("%s: firehose: %v", label, err)
 		}
-		if len(fh) != 1+8 || !fh[0].Truncated {
-			t.Fatalf("%s: firehose from 0 = %d records (first truncated=%v), want marker + 8",
-				label, len(fh), len(fh) > 0 && fh[0].Truncated)
+		if len(fh) != 1+keep || !reflect.DeepEqual(fh[0], m) {
+			t.Fatalf("%s: firehose from 0 = %d records (first %+v), want the read's marker + %d",
+				label, len(fh), fh[0], keep)
 		}
 		// ...and a resume past the edge streams clean.
-		if fh, _ := s.ReadFirehose(fh[0].GSeq, 0); len(fh) != 8 || fh[0].Truncated {
-			t.Fatalf("%s: firehose past the edge = %d records, want 8 plain events", label, len(fh))
+		if fh, _ := s.ReadFirehose(fh[0].GSeq, 0); len(fh) != keep || fh[0].Truncated {
+			t.Fatalf("%s: firehose past the edge = %d records, want %d plain events", label, len(fh), keep)
 		}
 		// The frontier never rewinds: new appends continue the sequence.
 		nextSeq, lastG, _ := s.JobEventStats("job-0001")
@@ -504,30 +488,63 @@ func TestLiveSegCap(t *testing.T) {
 			t.Fatalf("%s: stats = (next %d, lastG %d), want (%d, %d)", label, nextSeq, lastG, n, n)
 		}
 	}
-	verify(d, "live")
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		// drop seals the tail and drops all but the newest 2 segments.
+		drop func(d *Disk) error
+	}{
+		{"live-cap", func(d *Disk) error {
+			d.SetLiveSegCap(2)
+			return d.CompactJob("job-0001")
+		}},
+		{"retention", func(d *Disk) error {
+			if err := d.CompactJob("job-0001"); err != nil {
+				return err
+			}
+			return d.TrimJobEvents("job-0001", keep)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := OpenDisk(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.SetEventLogTuning(4, 1<<30) // tiny segments, manual compaction only
+			appendN(t, d, "job-0001", 0, n, 1)
+			if err := tc.drop(d); err != nil {
+				t.Fatal(err)
+			}
+			segs, _ := os.ReadDir(d.jobSegsDir("job-0001"))
+			if len(segs) != 2 {
+				t.Fatalf("%d sealed segments left on disk, want 2", len(segs))
+			}
+			verify(t, d, "live")
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	// Reopen: the truncation edge is rederived from the surviving layout.
-	d2, err := OpenDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	verify(d2, "reopened")
+			// Reopen: the truncation edge is rederived from the surviving
+			// layout.
+			d2, err := OpenDisk(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d2.Close()
+			verify(t, d2, "reopened")
 
-	// The job is still live: appends keep flowing and the next compaction
-	// advances the edge rather than resurrecting history.
-	d2.SetEventLogTuning(4, 1<<30)
-	d2.SetLiveSegCap(2)
-	appendN(t, d2, "job-0001", n, 8, int64(n)+1)
-	if err := d2.CompactJob("job-0001"); err != nil {
-		t.Fatal(err)
-	}
-	evs, _ := d2.ReadJobEvents("job-0001", 0, 0)
-	if len(evs) != 1+8 || !evs[0].Truncated || evs[0].Seq != n-1 {
-		t.Fatalf("after more appends: %d records, marker seq %d, want marker at %d + 8 events",
-			len(evs), evs[0].Seq, n-1)
+			// The log keeps growing: the next drop advances the edge rather
+			// than resurrecting history.
+			d2.SetEventLogTuning(4, 1<<30)
+			appendN(t, d2, "job-0001", n, 8, int64(n)+1)
+			if err := tc.drop(d2); err != nil {
+				t.Fatal(err)
+			}
+			evs, _ := d2.ReadJobEvents("job-0001", 0, 0)
+			if len(evs) != 1+8 || !evs[0].Truncated || evs[0].Seq != n-1 {
+				t.Fatalf("after more appends: %d records, marker seq %d, want marker at %d + 8 events",
+					len(evs), evs[0].Seq, n-1)
+			}
+		})
 	}
 }

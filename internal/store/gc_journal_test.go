@@ -7,9 +7,8 @@ import (
 	"testing"
 )
 
-// bothStores runs a subtest against a Disk store and a Mem store, so every
-// new contract surface is exercised by both implementations.
-func bothStores(t *testing.T, fn func(t *testing.T, s Store)) {
+// onDisk runs fn as the "disk" subtest over a fresh Disk store.
+func onDisk(t *testing.T, fn func(t *testing.T, s Store)) {
 	t.Helper()
 	t.Run("disk", func(t *testing.T) {
 		d, err := OpenDisk(t.TempDir())
@@ -19,11 +18,10 @@ func bothStores(t *testing.T, fn func(t *testing.T, s Store)) {
 		defer d.Close()
 		fn(t, d)
 	})
-	t.Run("mem", func(t *testing.T) { fn(t, NewMem()) })
 }
 
 func TestListCarriesSummaries(t *testing.T) {
-	bothStores(t, func(t *testing.T, s Store) {
+	onDisk(t, func(t *testing.T, s Store) {
 		rec := testRecord(t, "VC707", "1308-6520", 20)
 		if err := s.Put(rec); err != nil {
 			t.Fatal(err)
@@ -104,7 +102,7 @@ func TestSummariesSurviveReopenAndReindex(t *testing.T) {
 }
 
 func TestDeleteRecord(t *testing.T) {
-	bothStores(t, func(t *testing.T, s Store) {
+	onDisk(t, func(t *testing.T, s Store) {
 		a := testRecord(t, "VC707", "1308-6520", 20)
 		b := testRecord(t, "KC705-A", "604018691749-76023", 10)
 		for _, r := range []*Record{a, b} {
@@ -155,7 +153,7 @@ func TestDiskDeleteSurvivesReopen(t *testing.T) {
 }
 
 func TestGCKeepsNewestPerBoard(t *testing.T) {
-	bothStores(t, func(t *testing.T, s Store) {
+	onDisk(t, func(t *testing.T, s Store) {
 		// Four records of one die (distinct temperatures), plus one record
 		// of another die that must not be touched.
 		var ids []string
@@ -234,7 +232,7 @@ func TestDiskGCOrderSurvivesReopen(t *testing.T) {
 }
 
 func TestJobJournalRoundTrip(t *testing.T) {
-	bothStores(t, func(t *testing.T, s Store) {
+	onDisk(t, func(t *testing.T, s Store) {
 		if js, err := s.ListJobs(); err != nil || len(js) != 0 {
 			t.Fatalf("empty journal lists %d jobs, %v", len(js), err)
 		}

@@ -7,7 +7,7 @@
 // as its write-through second level, which is what lets a fleet survive a
 // restart without re-characterizing a single board.
 //
-// # On-disk layout (Disk implementation)
+// # On-disk layout
 //
 //	root/
 //	  index.json              rebuildable map of blob id → key + summary
@@ -28,9 +28,7 @@
 //
 // A corrupt or missing index.json is not fatal: opening the store rebuilds
 // it by scanning the object tree and re-deriving each blob's key and summary
-// from its embedded metadata (corrupt blobs are skipped). The Mem
-// implementation round-trips records through the same JSON encoding, so
-// tests exercise the serialization path hermetically.
+// from its embedded metadata (corrupt blobs are skipped).
 package store
 
 import (
@@ -190,10 +188,10 @@ type EventRecord struct {
 	GSeq    int64           `json:"gseq"`
 	Payload json.RawMessage `json:"payload"`
 	// Truncated marks a synthetic marker record, never an appended event:
-	// the store dropped this job's history at and below Seq (a live
-	// sealed-segment cap evicted the oldest segments), so a reader paging
-	// from earlier than this cannot get those events from anyone. Marker
-	// records carry no Payload.
+	// the store dropped this job's history at and below Seq (the live
+	// sealed-segment cap or a retention trim unlinked the oldest segments),
+	// so a reader paging from earlier than this cannot get those events
+	// from anyone. Marker records carry no Payload.
 	Truncated bool `json:"truncated,omitempty"`
 }
 
@@ -253,7 +251,8 @@ type Store interface {
 	// has. Records are copied; the caller keeps ownership of evs.
 	AppendJobEvents(id string, evs []EventRecord) error
 	// ReadJobEvents returns the job's events with Seq >= from, ascending,
-	// de-duplicated by Seq, capped at limit (limit <= 0 means no cap).
+	// de-duplicated by Seq, capped at limit (limit <= 0 means no cap). A
+	// read from below a dropped range starts with a Truncated record.
 	ReadJobEvents(id string, from, limit int) ([]EventRecord, error)
 	// JobEventStats reports the sequence the job's next event would take
 	// (0 when it has none) and the highest global sequence in its log,
@@ -261,14 +260,18 @@ type Store interface {
 	JobEventStats(id string) (nextSeq int, lastGSeq int64, err error)
 	// ReadFirehose returns events across all jobs with GSeq > after, in
 	// GSeq order, capped at limit (limit <= 0 means no cap). This is the
-	// paging primitive behind deep firehose resume.
+	// paging primitive behind deep firehose resume. A job whose dropped
+	// range lies above after contributes a Truncated record at that
+	// range's GSeq, ahead of its surviving events.
 	ReadFirehose(after int64, limit int) ([]EventRecord, error)
 	// TrimJobEvents drops a job's oldest durable events so that at least
 	// the last keepLast remain readable. Retention is best-effort and
 	// coarse: implementations may keep more than asked (the Disk store
 	// trims whole sealed segments and never the live tail) but must never
 	// keep fewer. keepLast <= 0 is a no-op. Trimming a job that is still
-	// appending is allowed; readers see a shorter history, not a torn one.
+	// appending is allowed; readers see a shorter history, not a torn one,
+	// and a read from below the dropped range starts with a Truncated
+	// record.
 	TrimJobEvents(id string, keepLast int) error
 	// LastGSeq reports the highest global sequence present in any job's
 	// event log, so a restarted service can resume issuing sequences
@@ -278,8 +281,8 @@ type Store interface {
 	Close() error
 }
 
-// idxEntry is the indexed form of one record both implementations share:
-// its key, its cached summary, and the bookkeeping GC orders by. Seq is a
+// idxEntry is the indexed form of one record: its key, its cached summary,
+// and the bookkeeping GC orders by. Seq is a
 // monotonic per-store put counter — wall clocks are too coarse to order two
 // back-to-back Puts, and GC's "newest" must be deterministic.
 type idxEntry struct {

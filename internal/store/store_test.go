@@ -41,7 +41,7 @@ func testRecord(t *testing.T, platformName, serial string, runs int) *Record {
 	}
 }
 
-// conformance exercises the Store contract shared by Disk and Mem.
+// conformance exercises the record half of the Store contract.
 func conformance(t *testing.T, s Store) {
 	t.Helper()
 	rec := testRecord(t, "VC707", "1308-6520", 20)
@@ -105,10 +105,6 @@ func TestDiskConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	conformance(t, s)
-}
-
-func TestMemConformance(t *testing.T) {
-	conformance(t, NewMem())
 }
 
 func TestDiskGetIDRejectsNonAddresses(t *testing.T) {
