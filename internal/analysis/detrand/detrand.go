@@ -5,7 +5,9 @@
 // voltage, run after run. That only reproduces in simulation if all model
 // randomness is a pure function of stable identifiers via internal/prng, so
 // inside the model packages (silicon, bram, board, characterize, nn, fixed,
-// cluster, prng, engine, ecc, dvfs) this analyzer reports:
+// cluster, prng, engine, ecc, dvfs, accel, fvm, placement, stats, dataset,
+// voltage, power, thermal, pmbus, report, xdc, bitstream) and the
+// experiments that drive them, this analyzer reports:
 //
 //   - time.Now — wall-clock input makes results differ run to run;
 //   - any use of the global math/rand or math/rand/v2 generators — their
@@ -27,7 +29,8 @@ import (
 // scopes to (matched by last import-path segment or internal/<name>).
 var modelPackages = []string{
 	"silicon", "bram", "board", "characterize", "nn", "fixed", "cluster", "prng",
-	"engine", "ecc", "dvfs",
+	"engine", "ecc", "dvfs", "experiments", "accel", "fvm", "placement", "stats",
+	"dataset", "voltage", "power", "thermal", "pmbus", "report", "xdc", "bitstream",
 }
 
 // Analyzer is the detrand checker.

@@ -16,16 +16,9 @@ import (
 // point of memoizing. The geometry fields matter because Platform.Scaled
 // mints a different simulated die from the same serial: a 120-BRAM and a
 // 200-BRAM VC707 are distinct measurements and must never share an entry.
-type CacheKey struct {
-	Platform string
-	Serial   string
-	BRAMs    int // pool size (NumBRAMs; Scaled changes it)
-	GridCols int
-	GridRows int
-	TempC    float64
-	Runs     int
-	Options  string // characterize.Options fingerprint (pattern + window)
-}
+// It is the store's key itself, so the memory level and the backing store
+// can never disagree about what "the same characterization" is.
+type CacheKey = store.Key
 
 // CacheStats reports cache effectiveness over the fleet's lifetime. Hits
 // counts lookups served by either cache level; StoreHits is the subset that
@@ -112,28 +105,6 @@ func (c *FVMCache) SetBacking(s store.Store) {
 	c.mu.Unlock()
 }
 
-// storeKey translates the in-memory key to the store's schema. The fields
-// correspond one-to-one, so the two layers can never disagree about what
-// "the same characterization" is.
-func storeKey(k CacheKey) store.Key {
-	return store.Key{
-		Platform: k.Platform, Serial: k.Serial,
-		BRAMs: k.BRAMs, GridCols: k.GridCols, GridRows: k.GridRows,
-		TempC: k.TempC, Runs: k.Runs, Options: k.Options,
-	}
-}
-
-// CacheKeyFromStore is storeKey's inverse: it translates a store key back
-// to the cache's schema, so a record deleted from the backing store can be
-// evicted from the memory level too.
-func CacheKeyFromStore(k store.Key) CacheKey {
-	return CacheKey{
-		Platform: k.Platform, Serial: k.Serial,
-		BRAMs: k.BRAMs, GridCols: k.GridCols, GridRows: k.GridRows,
-		TempC: k.TempC, Runs: k.Runs, Options: k.Options,
-	}
-}
-
 // Invalidate drops k's entry from the memory level. Callers use it after
 // deleting the backing record, so a GC'd or admin-deleted characterization
 // is not resurrected from RAM on the next lookup. An in-flight
@@ -179,7 +150,7 @@ func (c *FVMCache) Get(k CacheKey) (*characterize.Sweep, *fvm.Map, bool) {
 	// Second level. The store read happens outside the lock — it is I/O —
 	// so concurrent lookups of different keys overlap. A racing promotion
 	// of the same key is harmless: insertLocked overwrites idempotently.
-	rec, ok, err := backing.Get(storeKey(k))
+	rec, ok, err := backing.Get(k)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
@@ -238,7 +209,7 @@ func (c *FVMCache) GetOrCompute(ctx context.Context, k CacheKey, compute func() 
 		c.mu.Unlock()
 
 		if backing != nil {
-			rec, ok, err := backing.Get(storeKey(k))
+			rec, ok, err := backing.Get(k)
 			c.mu.Lock()
 			if err != nil {
 				c.storeErrs++
@@ -286,7 +257,7 @@ func (c *FVMCache) Put(k CacheKey, s *characterize.Sweep, m *fvm.Map) {
 	if backing == nil {
 		return
 	}
-	rec := &store.Record{Key: storeKey(k), Sweep: s, FVM: m}
+	rec := &store.Record{Key: k, Sweep: s, FVM: m}
 	if err := backing.Put(rec); err != nil {
 		c.mu.Lock()
 		c.storeErrs++

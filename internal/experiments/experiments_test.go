@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,6 +140,14 @@ func TestTable2Stability(t *testing.T) {
 	r := runOne(t, "table2-stability")
 	if r.Tables[0].NumRows() != 4 {
 		t.Fatalf("Table II rows = %d", r.Tables[0].NumRows())
+	}
+	var metrics []string
+	for _, c := range r.Comparisons {
+		metrics = append(metrics, c.Metric)
+	}
+	if want := []string{"VC707 avg", "VC707 stddev", "ZC702 avg", "ZC702 stddev",
+		"KC705-A avg", "KC705-A stddev", "KC705-B avg", "KC705-B stddev"}; !slices.Equal(metrics, want) {
+		t.Fatalf("comparison metrics %q, want the table's column order %q", metrics, want)
 	}
 	for _, c := range r.Comparisons {
 		if strings.HasSuffix(c.Metric, " avg") && c.RelErr() > 0.45 {

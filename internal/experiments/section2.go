@@ -212,8 +212,8 @@ func runTable2(ctx context.Context, cfg Config) (*Result, error) {
 	row("STD.DEV of fault rates", func(s stats.Summary) float64 { return s.StdDev }, 2)
 
 	var comps []report.Comparison
-	for name, want := range paperTable2 {
-		got := cells[name]
+	for _, name := range []string{"VC707", "ZC702", "KC705-A", "KC705-B"} { // the table's column order
+		want, got := paperTable2[name], cells[name]
 		comps = append(comps,
 			report.Comparison{Metric: name + " avg", Paper: want[0], Measured: got.Mean, Unit: "faults/Mbit"},
 			report.Comparison{Metric: name + " stddev", Paper: want[3], Measured: got.StdDev, Unit: "faults/Mbit",

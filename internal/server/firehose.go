@@ -1,7 +1,7 @@
 package server
 
 import (
-	"sort"
+	"math"
 	"sync"
 )
 
@@ -15,48 +15,32 @@ import (
 // The replay log is a bounded in-memory window holding only events
 // appended since boot. A subscriber whose cursor predates the window (a
 // deep resume, or any resume across a restart) is paged out of the journal
-// by the handler until it catches up to low; live events are never dropped
-// for a connected subscriber, because delivery is pull-based off this log.
+// by the handler until it catches up to the low-water mark; live events are
+// never dropped for a connected subscriber, because delivery is pull-based
+// off this log.
 type firehose struct {
 	mu     sync.Mutex
-	next   int64      // next global sequence to assign (starts at 1)
-	low    int64      // every event with GSeq > low is retained in buf
-	buf    []JobEvent // recent events in GSeq order
+	w      window // the newest max events by GSeq; the next stamp is w.end()
 	max    int
 	notify chan struct{}
 }
 
 func newFirehose(max int) *firehose {
-	return &firehose{next: 1, max: max, notify: make(chan struct{})}
+	return &firehose{w: window{base: 1}, max: max, notify: make(chan struct{})}
 }
 
 // append stamps ev with the next global sequence, admits it to the replay
-// log, and wakes subscribers. The stamp is written through the pointer so
-// the per-job event log keeps it too — that is how the global cursor
-// survives in the journal.
+// log, trims the log to its window, and wakes subscribers. The stamp is
+// written through the pointer so the per-job event log keeps it too — that
+// is how the global cursor survives in the journal.
 func (f *firehose) append(ev *JobEvent) {
 	f.mu.Lock()
-	ev.GSeq = f.next
-	f.next++
-	f.admitLocked(*ev)
+	ev.GSeq = f.w.end()
+	f.w.evs = append(f.w.evs, *ev)
+	f.w.trim(f.max, math.MaxInt64)
 	close(f.notify)
 	f.notify = make(chan struct{})
 	f.mu.Unlock()
-}
-
-// admitLocked appends one event and trims the log to its window; callers
-// hold f.mu. Trimming reallocates so the dropped prefix is actually freed,
-// and raises low past the dropped events — cursors below it must page from
-// the journal instead.
-func (f *firehose) admitLocked(ev JobEvent) {
-	f.buf = append(f.buf, ev)
-	if len(f.buf) > f.max {
-		drop := len(f.buf) - f.max
-		if g := f.buf[drop-1].GSeq; g > f.low {
-			f.low = g
-		}
-		f.buf = append([]JobEvent(nil), f.buf[drop:]...)
-	}
 }
 
 // startAfter resumes the sequence counter after a restart: the next stamp
@@ -65,12 +49,8 @@ func (f *firehose) admitLocked(ev JobEvent) {
 func (f *firehose) startAfter(maxGSeq int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if maxGSeq >= f.next {
-		f.next = maxGSeq + 1
-	}
-	if maxGSeq > f.low {
-		f.low = maxGSeq
-	}
+	f.w.trim(0, maxGSeq+1)
+	f.w.base = max(f.w.base, maxGSeq+1) // only moves an emptied window
 }
 
 // lowWater reports the newest global sequence NOT retained in the window —
@@ -78,24 +58,16 @@ func (f *firehose) startAfter(maxGSeq int64) {
 func (f *firehose) lowWater() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.low
+	return f.w.base - 1
 }
 
 // since returns the retained events with GSeq > after and a channel closed
-// on the next append — the same drain-then-wait triple the per-job streams
-// use, minus the terminal flag (the firehose never ends). ok is false when
-// the cursor predates the window; the caller must page the gap from the
-// journal (or clamp to lowWater when there is none).
+// on the next append. ok is false when the cursor predates the window; the
+// caller must page the gap from the journal (or clamp to lowWater when
+// there is none).
 func (f *firehose) since(after int64) ([]JobEvent, <-chan struct{}, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if after < f.low {
-		return nil, f.notify, false
-	}
-	i := sort.Search(len(f.buf), func(i int) bool { return f.buf[i].GSeq > after })
-	var evs []JobEvent
-	if i < len(f.buf) {
-		evs = append(evs, f.buf[i:]...)
-	}
-	return evs, f.notify, true
+	evs, ok := f.w.from(after + 1)
+	return evs, f.notify, ok
 }

@@ -33,9 +33,12 @@ type Job struct {
 	t      *JobTable
 	// jnMu serializes this job's journal writes with their snapshots (and
 	// with eviction's record delete); it nests OUTSIDE mu and must never
-	// be taken while holding it. jnDropped is guarded by jnMu.
+	// be taken while holding it. jnDropped and jnNext are guarded by jnMu:
+	// jnNext is the Seq of the first event not yet handed to the journal,
+	// so the events in ev from jnNext on are the journal's pending queue.
 	jnMu      sync.Mutex
 	jnDropped bool
+	jnNext    int64
 
 	mu       sync.Mutex
 	state    JobState
@@ -43,16 +46,11 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 	progress float64
-	// events is the in-memory tail of the job's event log, holding
-	// sequences [eventsBase, eventsBase+len(events)). The tail is trimmed
-	// to the table's window once events are durably appended — older
-	// sequences are paged back from the journal on demand — so a long
+	// ev is the in-memory tail of the job's event log, numbered by Seq. It
+	// is trimmed to the table's window once events are durably appended —
+	// older sequences are paged back from the journal on demand — so a long
 	// campaign's history does not live in RAM twice.
-	events     []JobEvent
-	eventsBase int
-	// jnPending queues events appended under mu but not yet written to the
-	// journal; journal.sync drains it in order.
-	jnPending []JobEvent
+	ev window
 	// jnDegraded marks that a journal write for this job has failed and the
 	// one-time journal_degraded marker event has been emitted. The job keeps
 	// running — durability degrades, service does not.
@@ -80,11 +78,12 @@ func (j *Job) signalLocked() {
 }
 
 // appendLocked stamps ev with the job's next Seq and the next global
-// sequence, queues it for the journal, and wakes the streams; callers hold
-// j.mu and must call j.t.jn.sync(j) after releasing it.
+// sequence, adds it to the tail (which queues it for the journal), and
+// wakes the streams; callers hold j.mu and must call j.t.jn.sync(j) after
+// releasing it.
 func (j *Job) appendLocked(ev JobEvent) {
 	ev.Job = j.id
-	ev.Seq = j.eventsBase + len(j.events)
+	ev.Seq = int(j.ev.end())
 	// Concurrent boards race to emit; monotonicize so dashboards never see
 	// the bar move backwards.
 	if ev.Progress < j.progress {
@@ -92,8 +91,7 @@ func (j *Job) appendLocked(ev JobEvent) {
 	}
 	j.progress = ev.Progress
 	j.t.fh.append(&ev) // stamps ev.GSeq; fh.mu nests inside j.mu everywhere
-	j.events = append(j.events, ev)
-	j.jnPending = append(j.jnPending, ev)
+	j.ev.evs = append(j.ev.evs, ev)
 	j.signalLocked()
 }
 
@@ -126,24 +124,6 @@ func (j *Job) noteJournalDegraded() {
 		Type:  "journal_degraded",
 		Error: "journal write failed: event history may not survive a restart",
 	})
-}
-
-// trimJournaled drops in-memory events below upto (the journal's durable
-// frontier) beyond the table's window, so RAM holds a bounded recent tail
-// and the journal serves the rest. Never trims past what is durable: an
-// SSE replay must not depend on a write that failed.
-func (j *Job) trimJournaled(upto int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.t.window <= 0 {
-		return
-	}
-	cut := min(j.eventsBase+len(j.events)-j.t.window, upto)
-	if cut <= j.eventsBase {
-		return
-	}
-	j.events = append([]JobEvent(nil), j.events[cut-j.eventsBase:]...)
-	j.eventsBase = cut
 }
 
 // SetRunning transitions queued → running. It reports false when the job
@@ -283,49 +263,40 @@ func (j *Job) Accepted(w http.ResponseWriter) {
 	WriteJSON(w, http.StatusAccepted, j.status(true))
 }
 
-// eventPageSize bounds how many journaled events one eventsSince call pages
-// back into memory for a deep resume; the SSE loop drains page after page.
-const eventPageSize = 512
-
-// eventsSince returns the events at sequence ≥ from, whether the job is
-// terminal, and a channel that is closed on the next change. The triple lets
-// an SSE stream drain history, then block until there is more. Sequences
-// below the in-memory tail — trimmed live history, or any history of a job
-// restored after a restart — are paged from the journal, so a client can
-// resume from sequence 0 without the server holding the log in RAM.
-func (j *Job) eventsSince(from int) ([]JobEvent, bool, <-chan struct{}) {
+// eventsSince returns the events at sequence ≥ from and a channel closed
+// on the next change — nil when waiting would bring nothing: the job is
+// terminal, or the events were paged from the journal and more follow at
+// once. Sequences below the in-memory tail — trimmed live history, or any
+// history of a job restored after a restart — are paged from the journal,
+// so a client can resume from sequence 0 without the server holding the
+// log in RAM.
+func (j *Job) eventsSince(from int64) ([]JobEvent, <-chan struct{}) {
 	j.mu.Lock()
-	base := j.eventsBase
-	total := base + len(j.events)
-	terminal := j.state.Terminal()
-	notify := j.notify
-	// from == total is a legitimate tail-wait; anything outside [0, total]
-	// is a bogus cursor and replays from the start — otherwise a
-	// beyond-the-log cursor would wait forever and never see the terminal
-	// event.
-	if from < 0 || from > total {
+	// from == end is a legitimate tail-wait; anything outside [0, end] is a
+	// bogus cursor and replays from the start — otherwise a beyond-the-log
+	// cursor would wait forever and never see the terminal event.
+	if from < 0 || from > j.ev.end() {
 		from = 0
 	}
-	if from >= base {
-		var evs []JobEvent
-		if from < total {
-			evs = append(evs, j.events[from-base:]...)
-		}
+	evs, ok := j.ev.from(from)
+	if !ok {
 		j.mu.Unlock()
-		return evs, terminal, notify
+		// Cursor predates the tail: page the gap from the journal. A page may
+		// overlap the tail (the same immutable events) or come back short
+		// when best-effort writes were dropped; either way the cursor
+		// advances by what is served and the next call continues from there.
+		if evs = j.t.jn.readEvents(j.id, int(from), ssePageSize); len(evs) > 0 {
+			return evs, nil
+		}
+		// Nothing journaled at this depth (a gap): fall forward to the tail.
+		j.mu.Lock()
+		evs, _ = j.ev.from(j.ev.base)
 	}
-	j.mu.Unlock()
-	// Cursor predates the tail: page the gap from the journal. A page may
-	// overlap the tail (the same immutable events) or come back short when
-	// best-effort writes were dropped; either way the cursor advances by
-	// what is served and the next call continues from there.
-	if evs := j.t.jn.readEvents(j.id, from, eventPageSize); len(evs) > 0 {
-		return evs, terminal, notify
-	}
-	// Nothing journaled at this depth (a gap): fall forward to the tail.
-	j.mu.Lock()
 	defer j.mu.Unlock()
-	return append([]JobEvent(nil), j.events...), terminal, notify
+	if j.state.Terminal() {
+		return evs, nil
+	}
+	return evs, j.notify
 }
 
 // JobTable is the job-and-stream layer the daemon and the federation
@@ -340,7 +311,7 @@ type JobTable struct {
 	ctx       context.Context // parent of every job context; ends every stream
 	prefix    string          // job ids read <prefix>-0001, <prefix>-0002, ...
 	max       int
-	window    int
+	jobWindow int // Config.JobEventWindow
 	keepAlive time.Duration
 	fh        *firehose
 	jn        *journal
@@ -359,7 +330,7 @@ func NewJobTable(ctx context.Context, cfg Config, prefix, restartMsg string) (*J
 	cfg = cfg.withDefaults()
 	t := &JobTable{
 		ctx: ctx, prefix: prefix, max: cfg.MaxJobHistory,
-		window: cfg.JobEventWindow, keepAlive: cfg.SSEKeepAlive,
+		jobWindow: cfg.JobEventWindow, keepAlive: cfg.SSEKeepAlive,
 		fh:   newFirehose(cfg.FirehoseBuffer),
 		jn:   newJournal(cfg.Store, cfg.JobRetain),
 		jobs: make(map[string]*Job),
@@ -536,22 +507,24 @@ func sseKeepAlive(w http.ResponseWriter, flusher http.Flusher) {
 	flusher.Flush()
 }
 
-// handleEvents streams the job's event log as Server-Sent Events: history
-// first, then live events, closing after the terminal "campaign" event. The
-// Last-Event-ID header (or ?after=) resumes a dropped stream; comment
-// keepalives flow while the job is idle (e.g. queued behind a full worker
-// pool).
-func (t *JobTable) handleEvents(w http.ResponseWriter, r *http.Request) {
-	job, ok := t.lookupJob(w, r)
-	if !ok {
-		return
-	}
-	// A malformed or negative resume cursor replays from the start rather
-	// than reaching eventsSince with an index that would slice negatively.
-	next := 0
-	if after := cmp.Or(r.Header.Get("Last-Event-ID"), r.URL.Query().Get("after")); after != "" {
-		if n, err := strconv.Atoi(after); err == nil && n >= 0 {
-			next = n + 1
+// ssePageSize bounds how many journaled events one read of a deep resume
+// pages back into memory; the SSE loop drains page after page.
+const ssePageSize = 512
+
+// serveSSE streams events as Server-Sent Events from the client's resume
+// cursor: the Last-Event-ID header (or ?after=), or -1 when it is absent,
+// malformed or negative. read returns the events after a cursor and a
+// channel closed on the next change; a nil channel means waiting would
+// bring nothing, so the loop reads again at once and ends the stream when
+// such a read comes back empty. id gives each frame's id, which is also the
+// cursor the next read resumes after. Comment keepalives flow while the
+// source is idle (e.g. a job queued behind a full worker pool).
+func (t *JobTable) serveSSE(w http.ResponseWriter, r *http.Request, id func(*JobEvent) int64,
+	read func(after int64) ([]JobEvent, <-chan struct{})) {
+	after := int64(-1)
+	if c := cmp.Or(r.Header.Get("Last-Event-ID"), r.URL.Query().Get("after")); c != "" {
+		if n, err := strconv.ParseInt(c, 10, 64); err == nil && n >= 0 {
+			after = n
 		}
 	}
 	flusher, ok := startSSE(w)
@@ -562,21 +535,20 @@ func (t *JobTable) handleEvents(w http.ResponseWriter, r *http.Request) {
 	defer keepalive.Stop()
 
 	for {
-		evs, terminal, changed := job.eventsSince(next)
-		for _, ev := range evs {
-			data, err := json.Marshal(ev)
+		evs, changed := read(after)
+		for i := range evs {
+			data, err := json.Marshal(&evs[i])
 			if err != nil {
 				return
 			}
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
-			next = ev.Seq + 1
+			after = id(&evs[i])
+			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", after, evs[i].Type, data)
 		}
 		if len(evs) > 0 {
 			flusher.Flush()
 		}
-		if terminal {
-			// Everything up to and including the terminal event is out.
-			if evs, _, _ := job.eventsSince(next); len(evs) == 0 {
+		if changed == nil {
+			if len(evs) == 0 {
 				return
 			}
 			continue
@@ -593,76 +565,38 @@ func (t *JobTable) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// firehosePageSize bounds how many journaled events one deep-resume page
-// pulls back into memory; the handler loops page after page until the
-// cursor reaches the live window.
-const firehosePageSize = 512
+// handleEvents streams one job's event log, ids being its Seq: history
+// first, then live events, closing after the terminal "campaign" event. A
+// resume cursor outside the log replays from the start.
+func (t *JobTable) handleEvents(w http.ResponseWriter, r *http.Request) {
+	if job, ok := t.lookupJob(w, r); ok {
+		t.serveSSE(w, r, func(ev *JobEvent) int64 { return int64(ev.Seq) },
+			func(after int64) ([]JobEvent, <-chan struct{}) { return job.eventsSince(after + 1) })
+	}
+}
 
 // handleFirehose streams every job's events, multiplexed in global-sequence
 // order and tagged with job ids — the fleet dashboard feed. The stream has
 // no terminal event; it runs until the client disconnects or the service
-// shuts down. Last-Event-ID (or ?after=) carries a global sequence, which
-// survives restarts via the journal; a cursor older than the in-memory
-// replay window — any depth, including 0 across a restart — is paged out of
-// the journal until it catches up to the window, then streams live. Only a
-// gap from dropped best-effort writes clamps the cursor forward to the
-// oldest retained event.
+// shuts down. The cursor is a global sequence, which survives restarts via
+// the journal; a cursor older than the in-memory replay window — any depth,
+// including 0 across a restart — is paged out of the journal until it
+// catches up to the window, then streams live. Only a gap from dropped
+// best-effort writes clamps the cursor forward to the window's edge.
 func (t *JobTable) handleFirehose(w http.ResponseWriter, r *http.Request) {
-	var after int64
-	if c := cmp.Or(r.Header.Get("Last-Event-ID"), r.URL.Query().Get("after")); c != "" {
-		if n, err := strconv.ParseInt(c, 10, 64); err == nil && n > 0 {
-			after = n
-		}
-	}
-	flusher, ok := startSSE(w)
-	if !ok {
-		return
-	}
-	keepalive := time.NewTicker(t.keepAlive)
-	defer keepalive.Stop()
-
-	emit := func(ev JobEvent) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.GSeq, ev.Type, data)
-		after = ev.GSeq
-		return true
-	}
-	for {
-		evs, changed, inWindow := t.fh.since(after)
-		if !inWindow {
-			if page := t.jn.firehosePage(after, firehosePageSize); len(page) > 0 {
-				for _, ev := range page {
-					if !emit(ev) {
-						return
-					}
+	t.serveSSE(w, r, func(ev *JobEvent) int64 { return ev.GSeq },
+		func(after int64) ([]JobEvent, <-chan struct{}) {
+			after = max(after, 0) // GSeqs start at 1, so no cursor reads after 0
+			for {
+				if evs, changed, ok := t.fh.since(after); ok {
+					return evs, changed
 				}
-				flusher.Flush()
-				continue
+				if page := t.jn.firehosePage(after, ssePageSize); len(page) > 0 {
+					return page, nil
+				}
+				// Nothing journaled below the window: clamp to its edge. The
+				// low-water mark only rises, so this always makes progress.
+				after = t.fh.lowWater()
 			}
-			// Nothing journaled below the window: clamp to its edge. The
-			// low-water mark only rises, so this always makes progress.
-			after = t.fh.lowWater()
-			continue
-		}
-		for _, ev := range evs {
-			if !emit(ev) {
-				return
-			}
-		}
-		if len(evs) > 0 {
-			flusher.Flush()
-		}
-		select {
-		case <-changed:
-		case <-keepalive.C:
-			sseKeepAlive(w, flusher)
-		case <-r.Context().Done():
-			return
-		case <-t.ctx.Done():
-			return
-		}
-	}
+		})
 }

@@ -75,13 +75,14 @@ func (jn *journal) putMeta(j *Job) {
 	}
 }
 
-// sync drains j's pending events into the store's event log. The drain is
-// serialized by jnMu (outside j.mu, like every journal write), so two
-// appenders racing here cannot land their batches out of order — each drain
-// takes whatever is queued, in queue order, and the loser finds the queue
-// empty. On success the job may trim its in-memory tail down to its window;
-// on failure the events stay counted as journal errors and the tail is kept
-// whole, so SSE never depends on a write that did not happen.
+// sync hands j's pending events — the tail from jnNext on — to the store's
+// event log. The drain is serialized by jnMu (outside j.mu, like every
+// journal write), so two appenders racing here cannot land their batches
+// out of order — each drain takes whatever is queued, in queue order, and
+// the loser finds the queue empty. A batch is handed over once: on success
+// the job trims its tail down to its window, never past jnNext; on failure
+// the events stay counted as journal errors, are not retried, and the tail
+// is kept whole, so SSE never depends on a write that did not happen.
 func (jn *journal) sync(j *Job) {
 	j.jnMu.Lock()
 	defer j.jnMu.Unlock()
@@ -89,12 +90,12 @@ func (jn *journal) sync(j *Job) {
 		return
 	}
 	j.mu.Lock()
-	pending := j.jnPending
-	j.jnPending = nil
+	pending, _ := j.ev.from(j.jnNext)
 	j.mu.Unlock()
 	if len(pending) == 0 {
 		return
 	}
+	j.jnNext += int64(len(pending))
 	recs := make([]store.EventRecord, 0, len(pending))
 	for i := range pending {
 		payload, err := json.Marshal(&pending[i])
@@ -114,7 +115,9 @@ func (jn *journal) sync(j *Job) {
 		j.noteJournalDegraded()
 		return
 	}
-	j.trimJournaled(recs[len(recs)-1].Seq + 1)
+	j.mu.Lock()
+	j.ev.trim(j.t.jobWindow, j.jnNext)
+	j.mu.Unlock()
 }
 
 // readEvents pages one job's journaled events with Seq >= from. Corrupt
@@ -222,8 +225,8 @@ func (t *JobTable) replay(restartMsg string) error {
 	var interrupted []*Job
 	for _, d := range docs {
 		// Restored jobs never run again: their context is born cancelled,
-		// and eventsBase starts at the log's end, so any SSE replay pages
-		// from the store instead of RAM.
+		// and their tail (and journal cursor) starts at the log's end, so
+		// any SSE replay pages from the store instead of RAM.
 		nextSeq, _, err := t.jn.st.JobEventStats(d.rec.ID)
 		if err != nil {
 			nextSeq = 0
@@ -235,7 +238,8 @@ func (t *JobTable) replay(restartMsg string) error {
 			id: d.rec.ID, seq: d.rec.Seq, kind: st.Kind, boards: st.Boards,
 			ctx: ctx, cancel: cancel, t: t,
 			state: st.State, created: st.Created, progress: st.Progress,
-			eventsBase: nextSeq, notify: make(chan struct{}), restored: &st,
+			ev: window{base: int64(nextSeq)}, jnNext: int64(nextSeq),
+			notify: make(chan struct{}), restored: &st,
 		}
 		t.jobs[j.id] = j
 		t.order = append(t.order, j.id)

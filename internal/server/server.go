@@ -85,10 +85,9 @@ type Config struct {
 	// (default 8192 events).
 	FirehoseBuffer int
 	// JobEventWindow bounds how many of a job's most recent events stay in
-	// memory once durably journaled (default 2048; negative disables
-	// trimming). Older sequences are paged back from the journal on
-	// demand, so deep SSE resume works without the server holding every
-	// event in RAM.
+	// memory once durably journaled (default 2048). Older sequences are
+	// paged back from the journal on demand, so deep SSE resume works
+	// without the server holding every event in RAM.
 	JobEventWindow int
 	// JobRetain, when > 0, trims a terminal job's durable event log down to
 	// (at least) its last JobRetain events — the Disk store drops whole
@@ -122,7 +121,7 @@ func (c Config) withDefaults() Config {
 	if c.FirehoseBuffer <= 0 {
 		c.FirehoseBuffer = 8192
 	}
-	if c.JobEventWindow == 0 {
+	if c.JobEventWindow <= 0 {
 		c.JobEventWindow = 2048
 	}
 	return c
@@ -192,7 +191,7 @@ func (s *Server) runGC() {
 	}
 	removed, _ := s.cfg.Store.GC(s.cfg.GCKeep)
 	for _, m := range removed {
-		s.cache.Invalidate(engine.CacheKeyFromStore(m.Key))
+		s.cache.Invalidate(m.Key)
 	}
 }
 
@@ -254,7 +253,7 @@ func (s *Server) handleGC(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, m := range removed {
-		s.cache.Invalidate(engine.CacheKeyFromStore(m.Key))
+		s.cache.Invalidate(m.Key)
 	}
 	WriteJSON(w, http.StatusOK, map[string]any{"removed": len(removed), "keep": keep})
 }
@@ -539,7 +538,7 @@ func (s *Server) handleDeleteFVM(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, &APIStatusError{StatusCode: http.StatusNotFound, Message: fmt.Sprintf("no FVM %q", id)})
 		return
 	}
-	s.cache.Invalidate(engine.CacheKeyFromStore(m.Key))
+	s.cache.Invalidate(m.Key)
 	WriteJSON(w, http.StatusOK, map[string]any{"deleted": id})
 }
 

@@ -21,6 +21,7 @@ import (
 //	jobs/<id>.json                                the metadata record (PutJob)
 //	jobs/<id>.log                                 append-only JSONL tail
 //	jobs/<id>.segs/seg-<s0>-<s1>-<g0>-<g1>.json   sealed, immutable segments
+//	jobs/<id>.trunc                               truncation edge, once segments drop
 //
 // Appends go to the tail — one JSON line per event, O_APPEND + fsync, no
 // rewrite of anything. When the tail grows past compactTail live events, a
@@ -35,8 +36,12 @@ import (
 // crash in between leaves the same events in both places — readers dedup by
 // Seq (sealed copy wins) and the next compaction drops the stale tail
 // prefix. A torn final tail line (power cut mid-append) fails to decode and
-// is skipped. No state here is authoritative for the blobs or the index;
-// losing a tail line degrades the journal, never the store.
+// is skipped. Dropping sealed segments (the live cap or retention) first
+// writes the new truncation edge to <id>.trunc, and boot reads it back, so
+// the edge's exact (Seq, GSeq) survives a restart; a log without the file
+// predates persisted edges and boot re-derives its edge from the lowest
+// surviving event. No state here is authoritative for the blobs or the
+// index; losing a tail line degrades the journal, never the store.
 
 const (
 	// defaultEventSegSize is how many events a sealed segment holds.
@@ -78,7 +83,7 @@ type jobLog struct {
 	nextSeq  int       // 1 + highest Seq seen anywhere in the log
 	lastG    int64     // highest GSeq seen anywhere in the log
 	minAvail int       // 1 + highest Seq dropped (live cap or retention); 0 = nothing dropped
-	truncG   int64     // highest GSeq known dropped (conservative after reopen)
+	truncG   int64     // highest GSeq dropped (re-derived conservatively for a log without <id>.trunc)
 	f        *os.File  // cached append handle; nil when closed
 }
 
@@ -500,22 +505,55 @@ func (d *Disk) CompactJob(id string) error {
 	return nil
 }
 
-// dropSegsLocked unlinks the oldest n sealed segments and advances the
-// log's truncation edge past each one, so a read below it gets a Truncated
-// marker instead of a silent gap. It stops at the first segment it cannot
-// unlink: that segment stays indexed, what survives stays contiguous, and
-// the next compaction or trim retries. The live cap and retention both drop
-// through here. Callers hold the job's stripe write lock.
+// dropSegsLocked drops the oldest n sealed segments and advances the log's
+// truncation edge past them, so a read below it gets a Truncated marker
+// instead of a silent gap. The new edge is written to <id>.trunc before
+// anything is unlinked, so a reopen reads the exact edge back instead of
+// guessing it from the survivors; if that write fails, nothing is dropped
+// and the next compaction or trim retries. Once the edge is durable the
+// segments are gone from the log: one that fails to unlink lies wholly
+// below the edge, and the next open discards it. The live cap and
+// retention both drop through here. Callers hold the job's stripe write
+// lock.
 func (d *Disk) dropSegsLocked(id string, jl *jobLog, n int) {
-	for ; n > 0 && len(jl.segs) > 0; n-- {
-		sg := jl.segs[0]
-		if err := os.Remove(filepath.Join(d.jobSegsDir(id), sg.fileName())); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return
-		}
-		jl.segs = jl.segs[1:]
-		jl.minAvail = max(jl.minAvail, sg.maxSeq+1)
-		jl.truncG = max(jl.truncG, sg.lastG)
+	if n = min(n, len(jl.segs)); n <= 0 {
+		return
 	}
+	edge := truncEdge{MinAvail: max(jl.minAvail, jl.segs[n-1].maxSeq+1), TruncG: jl.truncG}
+	for _, sg := range jl.segs[:n] {
+		edge.TruncG = max(edge.TruncG, sg.lastG)
+	}
+	raw, err := json.Marshal(edge)
+	if err == nil {
+		err = d.atomicWrite(d.jobTruncPath(id), raw)
+	}
+	if err != nil {
+		return
+	}
+	d.addJnBytes(len(raw))
+	for _, sg := range jl.segs[:n] {
+		_ = os.Remove(filepath.Join(d.jobSegsDir(id), sg.fileName())) // a leftover lies below the edge
+	}
+	jl.segs = jl.segs[n:]
+	jl.minAvail, jl.truncG = edge.MinAvail, edge.TruncG
+}
+
+// truncEdge is a log's persisted truncation edge: every event with Seq
+// below MinAvail is gone, and TruncG is the highest GSeq among them.
+type truncEdge struct {
+	MinAvail int   `json:"min_avail"`
+	TruncG   int64 `json:"trunc_g"`
+}
+
+func (d *Disk) jobTruncPath(id string) string {
+	return filepath.Join(d.root, "jobs", id+".trunc")
+}
+
+// readTruncEdge reads id's persisted truncation edge; ok is false when the
+// log has none — nothing was dropped, or the log predates persisted edges.
+func (d *Disk) readTruncEdge(id string) (e truncEdge, ok bool) {
+	raw, err := os.ReadFile(d.jobTruncPath(id))
+	return e, err == nil && json.Unmarshal(raw, &e) == nil
 }
 
 // TrimJobEvents drops sealed segments whose entire Seq range falls below
@@ -548,8 +586,8 @@ func (d *Disk) TrimJobEvents(id string, keepLast int) error {
 	return nil
 }
 
-// dropEventLog removes id's tail, segments, and index entry. Callers hold
-// the job's stripe write lock.
+// dropEventLog removes id's tail, segments, truncation edge, and index
+// entry. Callers hold the job's stripe write lock.
 func (d *Disk) dropEventLog(id string) error {
 	d.evMu.Lock()
 	jl := d.evLogs[id]
@@ -564,6 +602,9 @@ func (d *Disk) dropEventLog(id string) error {
 	}
 	if err := os.RemoveAll(d.jobSegsDir(id)); err != nil {
 		return fmt.Errorf("store: delete segments %s: %w", id, err)
+	}
+	if err := os.Remove(d.jobTruncPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("store: delete truncation edge %s: %w", id, err)
 	}
 	return nil
 }
@@ -589,10 +630,11 @@ func (d *Disk) scanEventLogs() error {
 		}
 		return jl
 	}
-	// firstAvail tracks each job's lowest surviving (Seq, GSeq): job event
-	// sequences are dense from 0, so a log whose lowest Seq is positive lost
-	// its prefix to the live cap (or a retention trim) before the restart,
-	// and minAvail must be rederived so the truncation marker survives reboot.
+	// firstAvail tracks each job's lowest surviving (Seq, GSeq). A log with
+	// no persisted edge predates them: job event sequences are dense from 0,
+	// so if its lowest Seq is positive it lost its prefix to the live cap
+	// (or a retention trim) before the restart, and minAvail is rederived so
+	// the truncation marker survives reboot.
 	type firstAvail struct {
 		seq int
 		g   int64
@@ -614,12 +656,23 @@ func (d *Disk) scanEventLogs() error {
 			continue
 		}
 		jl := get(id)
+		edge, hasEdge := d.readTruncEdge(id)
 		for _, sde := range segDes {
 			sg, ok := parseSegName(sde.Name())
 			if !ok {
 				continue
 			}
+			if hasEdge && sg.maxSeq < edge.MinAvail {
+				// Dropped, but a crash or a failed unlink left it behind. It is
+				// never indexed, so removing it is best-effort.
+				_ = os.Remove(filepath.Join(dir, de.Name(), sde.Name()))
+				continue
+			}
 			jl.segs = append(jl.segs, sg)
+		}
+		if hasEdge {
+			jl.minAvail, jl.truncG = edge.MinAvail, edge.TruncG
+			jl.sealedTo = edge.MinAvail // everything below the edge was sealed
 		}
 		sort.Slice(jl.segs, func(i, j int) bool { return jl.segs[i].minSeq < jl.segs[j].minSeq })
 		if len(jl.segs) > 0 {
@@ -668,8 +721,7 @@ func (d *Disk) scanEventLogs() error {
 		}
 	}
 	for id, fa := range firsts {
-		if fa.any && fa.seq > 0 {
-			jl := logs[id]
+		if jl := logs[id]; fa.any && fa.seq > 0 && jl.minAvail == 0 {
 			jl.minAvail = fa.seq
 			// The dropped events' exact GSeqs are gone with them; everything
 			// below the first surviving GSeq is a safe over-approximation.

@@ -2,7 +2,9 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -546,5 +548,87 @@ func TestLiveSegCap(t *testing.T) {
 					len(evs), evs[0].Seq, n-1)
 			}
 		})
+	}
+}
+
+// TestTruncationEdgeSurvivesReopen pins the exact truncation edge across a
+// reopen. Two interleaved jobs share the GSeq space (job-a odd, job-b
+// even); job-a is trimmed to its last segment. The marker must sit at the
+// last dropped event's own (Seq, GSeq) before and after the reopen — a
+// GSeq guessed from the first survivor would be job-b's event — so the
+// firehose stays strictly increasing. A segment wholly below the edge, left
+// by a crash between the edge write and the unlink, is discarded at open.
+func TestTruncationEdgeSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetEventLogTuning(4, 1<<30) // tiny segments, manual compaction only
+	for i := 0; i < 20; i++ {
+		for j, id := range []string{"job-a", "job-b"} {
+			if err := d.AppendJobEvents(id, []EventRecord{testEvent(i, int64(2*i+1+j))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := d.CompactJob("job-a"); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(d.jobSegsDir("job-a"), segInfo{0, 3, 1, 7}.fileName())
+	staleRaw, err := os.ReadFile(stale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.TrimJobEvents("job-a", 4); err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, s *Disk, label string) {
+		t.Helper()
+		fh, err := s.ReadFirehose(0, 0)
+		if err != nil {
+			t.Fatalf("%s: firehose: %v", label, err)
+		}
+		var marker *EventRecord
+		for i := range fh {
+			if i > 0 && fh[i].GSeq <= fh[i-1].GSeq {
+				t.Fatalf("%s: firehose GSeq %d (%s) follows %d (%s)",
+					label, fh[i].GSeq, fh[i].Job, fh[i-1].GSeq, fh[i-1].Job)
+			}
+			if fh[i].Truncated {
+				marker = &fh[i]
+			}
+		}
+		if marker == nil || marker.Job != "job-a" || marker.Seq != 15 || marker.GSeq != 31 {
+			t.Fatalf("%s: firehose marker = %+v, want job-a at (Seq 15, GSeq 31)", label, marker)
+		}
+		if len(fh) != 1+4+20 {
+			t.Fatalf("%s: firehose = %d records, want marker + 4 + 20", label, len(fh))
+		}
+	}
+	check(t, d, "live")
+	d = reopen(t, d)
+	check(t, d, "reopened")
+
+	// A crash between the edge write and the unlink leaves a dropped segment
+	// behind; the next open discards it instead of serving it.
+	if err := os.WriteFile(stale, staleRaw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d = reopen(t, d)
+	check(t, d, "reopened over a stale segment")
+	if _, err := os.Stat(stale); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("segment below the persisted edge survived the open: %v", err)
+	}
+
+	// Deleting the job removes its edge with the rest of its log.
+	if err := d.DeleteJob("job-a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "jobs", "job-a.trunc")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("DeleteJob left the truncation edge behind: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

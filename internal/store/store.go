@@ -13,6 +13,8 @@
 //	  index.json              rebuildable map of blob id → key + summary
 //	  objects/<aa>/<id>.json  one Record per blob, sharded by id prefix
 //	  jobs/<id>.json          one journaled campaign job per file
+//	  jobs/<id>.log, .segs/   its event log: live tail and sealed segments
+//	  jobs/<id>.trunc         the log's truncation edge, once segments drop
 //
 // Blobs are content-addressed: a record's id is the SHA-256 of its
 // measurement identity (platform, serial, temperature, runs, sweep-option
