@@ -3,6 +3,8 @@ package characterize
 import (
 	"context"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/board"
@@ -146,6 +148,52 @@ func TestDeterministicAcrossHarnessInvocations(t *testing.T) {
 		if a.Levels[i].MedianFaults != b.Levels[i].MedianFaults {
 			t.Fatalf("level %d: %v vs %v", i, a.Levels[i].MedianFaults, b.Levels[i].MedianFaults)
 		}
+	}
+}
+
+// TestSweepIndependentOfScheduling proves scheduling never reaches the
+// science: on the full-chip ZC702, whose 280 sites divide evenly by none of
+// the worker counts, every worker count, ungated or contending for one
+// shared single-unit gate, returns the same sweep down to the last run
+// total, per-BRAM median, flip count and power reading.
+func TestSweepIndependentOfScheduling(t *testing.T) {
+	p := platform.ZC702()
+	if p.NumBRAMs != 280 {
+		t.Fatalf("ZC702 has %d sites, want 280", p.NumBRAMs)
+	}
+	sweep := func(workers int, gate *sem.Gate) *Sweep {
+		s, err := Run(context.Background(), board.New(p), Options{Runs: 10, Workers: workers, Gate: gate})
+		if err != nil {
+			t.Error(err)
+		}
+		return s
+	}
+	want := sweep(1, nil)
+	if want == nil || want.Final().MedianFaults == 0 {
+		t.Fatal("reference sweep saw no faults at Vcrash")
+	}
+	workers := []int{1, 2, 3, 8}
+	gate := sem.New(1)
+	gated := make([]*Sweep, len(workers))
+	var wg sync.WaitGroup
+	for i, w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			gated[i] = sweep(w, gate)
+		}()
+	}
+	wg.Wait()
+	for i, w := range workers {
+		if got := sweep(w, nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("Workers %d: sweep differs from Workers 1", w)
+		}
+		if !reflect.DeepEqual(gated[i], want) {
+			t.Errorf("Workers %d under a shared one-unit gate: sweep differs from Workers 1", w)
+		}
+	}
+	if st := gate.Stats(); st.Peak != 1 || st.InUse != 0 {
+		t.Fatalf("gate stats %+v: want peak 1 and no unit held", st)
 	}
 }
 
