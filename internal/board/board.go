@@ -62,11 +62,11 @@ type Board struct {
 	jitterScale   float64
 	scratch       []silicon.Fault
 	counts        []siteCounts // per-site observable-fault prefix sums
-	eval          evalMemo     // Board read methods' pass-evaluation memo
+	eval          evalMemo     // ReadBRAMInto's pass-evaluation memo
 
 	// env caches the electrical snapshot reads run under; it is refreshed on
-	// every rail/chamber change so the hot read path stays allocation-free
-	// and safe for concurrent Readers.
+	// every rail/chamber change so opening a read pass costs no regulator
+	// round trips.
 	env silicon.Conditions
 }
 
@@ -215,7 +215,7 @@ func (b *Board) FillAllFunc(pattern func(site, row int) uint16) {
 
 // conditions returns the cached electrical environment stamped with the run
 // index. The cache is refreshed by every rail/chamber mutation, so reads are
-// cheap and Readers can share it concurrently.
+// cheap.
 func (b *Board) conditions(run uint64) silicon.Conditions {
 	c := b.env
 	c.Run = run
@@ -246,10 +246,8 @@ func (b *Board) ReadBRAMInto(dst []uint16, site int, run uint64) error {
 }
 
 // evalMemo caches a pass evaluation environment (ripple draw, jitter sigma):
-// all reads of one run share them, so a read path resolves them once per
-// (conditions, run) instead of once per site. Each single-goroutine read
-// path owns its memo — the Board's methods share one, every Reader carries
-// its own.
+// all reads of one run share them, so ReadBRAMInto, called once per site,
+// resolves them once per (conditions, run) instead of once per site.
 type evalMemo struct {
 	eval silicon.Eval
 	cond silicon.Conditions
@@ -297,10 +295,10 @@ func readFaulty(b *Board, eval silicon.Eval, dst []uint16, site int, scratch []s
 // suffix pass from the first changed cell. Bulk fills and feed overflow fall
 // back to the full O(weak cells) rebuild.
 //
-// Entries are written without synchronization: concurrent Readers never
-// share a site within one pass (the scan hands each site to one worker), and
-// passes are serialized by the caller, matching the Reader contract that the
-// board's state does not change while readers are active.
+// Entries are written without synchronization: goroutines counting on one
+// Pass never share a site, and passes are serialized by the caller, matching
+// the Pass contract that the board's state does not change while a pass is
+// in use.
 type siteCounts struct {
 	gen      uint64
 	p10, p01 []int32
@@ -424,40 +422,59 @@ func (sc *siteCounts) applyDelta(blk *bram.Block, cells []silicon.WeakCell, rows
 	}
 }
 
-// countSite counts one site's observable mismatches under the pass
-// evaluation: the definitely-active prefix comes from the cached prefix
-// sums, and only the marginal band (materialized into scratch) consults the
-// stored words.
-func countSite(b *Board, eval silicon.Eval, scratch []silicon.Fault, site int) (out []silicon.Fault, total, f10, f01 int) {
-	band, def := eval.ActiveBand(scratch[:0], site)
-	sc := b.countsFor(site)
-	f10, f01 = int(sc.p10[def]), int(sc.p01[def])
-	if len(band) > 0 {
-		_, b10, b01 := b.Pool.Block(site).CountFaults(band)
-		f10 += b10
-		f01 += b01
+// Pass is one read pass over the pool, taken as a snapshot of the board:
+// the operating state is checked and the pass's silicon evaluation (ripple
+// draw, jitter band) resolved once, when the pass is opened. Goroutines may
+// then count distinct sites on it at the same time, each with its own
+// scratch. The board's rails, temperature and contents must not change
+// while a pass is in use.
+type Pass struct {
+	b    *Board
+	eval silicon.Eval
+}
+
+// Pass opens a read pass under the given run index. It fails with
+// ErrNotOperating when the design is not running.
+func (b *Board) Pass(run uint64) (*Pass, error) {
+	if !b.Done() {
+		return nil, ErrNotOperating
 	}
-	return band, f10 + f01, f10, f01
+	return &Pass{b: b, eval: b.Die.Evaluator(b.conditions(run))}, nil
+}
+
+// Count counts one site's observable mismatches without materializing its
+// contents: the definitely-active prefix comes from the cached prefix sums,
+// and only the marginal band, materialized into scratch, consults the stored
+// words. It returns scratch for the caller's next site.
+func (p *Pass) Count(scratch []silicon.Fault, site int) (out []silicon.Fault, total, flip10, flip01 int) {
+	band, def := p.eval.ActiveBand(scratch[:0], site)
+	sc := p.b.countsFor(site)
+	flip10, flip01 = int(sc.p10[def]), int(sc.p01[def])
+	if len(band) > 0 {
+		_, b10, b01 := p.b.Pool.Block(site).CountFaults(band)
+		flip10 += b10
+		flip01 += b01
+	}
+	return band, flip10 + flip01, flip10, flip01
 }
 
 // CountFaultsInto counts the observable mismatches a read pass over the whole
-// pool would see, without materializing any contents: the fault overlay is
-// evaluated per site (O(marginal band) on the indexed silicon path) and the
-// stored words are consulted only at marginal fault rows, so SAFE-region and
-// near-Vmin passes are near-no-ops. When perSite is non-nil it must hold
-// Pool.Len() entries and receives each site's count. The returned totals are
-// exactly what ReadBRAMInto plus a row-by-row compare would report.
+// pool would see, without materializing any contents: it counts every site
+// on one Pass, so SAFE-region and near-Vmin passes are near-no-ops. When
+// perSite is non-nil it must hold Pool.Len() entries and receives each
+// site's count. The returned totals are exactly what ReadBRAMInto plus a
+// row-by-row compare would report.
 func (b *Board) CountFaultsInto(perSite []int, run uint64) (total int, flip10, flip01 int64, err error) {
-	if !b.Done() {
-		return 0, 0, 0, ErrNotOperating
+	p, err := b.Pass(run)
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	if perSite != nil && len(perSite) < b.Pool.Len() {
 		return 0, 0, 0, fmt.Errorf("board: perSite holds %d sites, need %d", len(perSite), b.Pool.Len())
 	}
-	eval := b.Die.Evaluator(b.conditions(run))
 	for site := 0; site < b.Pool.Len(); site++ {
 		var n, f10, f01 int
-		b.scratch, n, f10, f01 = countSite(b, eval, b.scratch, site)
+		b.scratch, n, f10, f01 = p.Count(b.scratch, site)
 		if perSite != nil {
 			perSite[site] = n
 		}
@@ -465,53 +482,6 @@ func (b *Board) CountFaultsInto(perSite []int, run uint64) (total int, flip10, f
 		flip10 += int64(f10)
 		flip01 += int64(f01)
 	}
-	return total, flip10, flip01, nil
-}
-
-// Reader is an independent host read channel with private buffers, so
-// full-chip scans can fan out across goroutines. The board's electrical
-// state (rails, temperature) must not change while readers are active.
-type Reader struct {
-	b       *Board
-	scratch []silicon.Fault
-	eval    evalMemo // this reader's pass-evaluation memo
-}
-
-// NewReader returns a reader bound to the board.
-func (b *Board) NewReader() *Reader { return &Reader{b: b} }
-
-// operatingNow is a mutation-free operating check for concurrent Readers
-// (Done() may flip the sticky crash latch, which is a write).
-func (b *Board) operatingNow() bool {
-	return b.configured && !b.crashed &&
-		b.VCCBRAM() >= b.Platform.Cal.Vcrash-1e-9 &&
-		b.VCCINT() >= b.Platform.Cal.VcrashInt-1e-9
-}
-
-// ReadInto behaves like Board.ReadBRAMInto but is safe to call from multiple
-// Readers concurrently.
-func (r *Reader) ReadInto(dst []uint16, site int, run uint64) error {
-	if !r.b.operatingNow() {
-		return ErrNotOperating
-	}
-	if len(dst) < bram.Rows {
-		return fmt.Errorf("board: dst holds %d rows, need %d", len(dst), bram.Rows)
-	}
-	var err error
-	r.scratch, err = readFaulty(r.b, r.eval.evaluator(r.b, run), dst, site, r.scratch)
-	return err
-}
-
-// CountInto behaves like one site's share of Board.CountFaultsInto — count
-// the observable mismatches without materializing contents — and is safe to
-// call from multiple Readers concurrently (on distinct sites, per the Reader
-// contract above).
-func (r *Reader) CountInto(site int, run uint64) (total, flip10, flip01 int, err error) {
-	if !r.b.operatingNow() {
-		return 0, 0, 0, ErrNotOperating
-	}
-	eval := r.eval.evaluator(r.b, run)
-	r.scratch, total, flip10, flip01 = countSite(r.b, eval, r.scratch, site)
 	return total, flip10, flip01, nil
 }
 

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 	"testing"
 
 	"repro/internal/bram"
 	"repro/internal/platform"
 	"repro/internal/prng"
+	"repro/internal/silicon"
 	"repro/internal/thermal"
 )
 
@@ -315,31 +317,51 @@ func TestHarshEnvironmentFaultsAboveVmin(t *testing.T) {
 	}
 }
 
-func TestReaderMatchesBoardRead(t *testing.T) {
-	// Concurrent-reader path must return byte-identical data to the serial
-	// board path under identical conditions.
+func TestPassMatchesBoardRead(t *testing.T) {
+	// A pass read from several goroutines must return byte-identical data
+	// to the serial board path under identical conditions.
 	b := testBoard()
 	b.FillAll(0xFFFF)
 	if err := b.SetVCCBRAM(b.Platform.Cal.Vcrash); err != nil {
 		t.Fatal(err)
 	}
 	run := b.BeginRun()
-	r := b.NewReader()
-	a := make([]uint16, bram.Rows)
-	c := make([]uint16, bram.Rows)
+	var sites []int
+	want := map[int][]uint16{}
 	for site := 0; site < b.Pool.Len(); site += 7 {
+		a := make([]uint16, bram.Rows)
 		if err := b.ReadBRAMInto(a, site, run); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.ReadInto(c, site, run); err != nil {
-			t.Fatal(err)
-		}
-		for row := range a {
-			if a[row] != c[row] {
-				t.Fatalf("site %d row %d: board %#x reader %#x", site, row, a[row], c[row])
-			}
-		}
+		sites = append(sites, site)
+		want[site] = a
 	}
+	p, err := b.Pass(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 3
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := make([]uint16, bram.Rows)
+			var scratch []silicon.Fault
+			for i := r; i < len(sites); i += readers {
+				site := sites[i]
+				scratch, _ = readFaulty(b, p.eval, c, site, scratch)
+				a := want[site]
+				for row := range a {
+					if a[row] != c[row] {
+						t.Errorf("site %d row %d: board %#x pass %#x", site, row, a[row], c[row])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestReadBRAMIntoShortBuffer(t *testing.T) {
@@ -455,19 +477,21 @@ func TestCountPathMatchesReadoutPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reader := b.NewReader()
+			pass, err := b.Pass(run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var scratch []silicon.Fault
 			wantTotal, want10, want01 := 0, 0, 0
 			for site := 0; site < b.Pool.Len(); site++ {
 				n, f10, f01 := countViaReadout(t, b, site, run)
 				wantTotal += n
 				want10 += f10
 				want01 += f01
-				cn, c10, c01, err := reader.CountInto(site, run)
-				if err != nil {
-					t.Fatal(err)
-				}
+				var cn, c10, c01 int
+				scratch, cn, c10, c01 = pass.Count(scratch, site)
 				if cn != n || c10 != f10 || c01 != f01 {
-					t.Fatalf("fill %s v=%v site %d: CountInto (%d,%d,%d) != readout (%d,%d,%d)",
+					t.Fatalf("fill %s v=%v site %d: Pass.Count (%d,%d,%d) != readout (%d,%d,%d)",
 						fill, v, site, cn, c10, c01, n, f10, f01)
 				}
 				if perSite[site] != n {
@@ -500,9 +524,8 @@ func TestCountFaultsIntoErrors(t *testing.T) {
 	if _, _, _, err := b.CountFaultsInto(nil, b.BeginRun()); !errors.Is(err, ErrNotOperating) {
 		t.Fatalf("crashed board CountFaultsInto err = %v", err)
 	}
-	r := b.NewReader()
-	if _, _, _, err := r.CountInto(0, 1); !errors.Is(err, ErrNotOperating) {
-		t.Fatalf("crashed board CountInto err = %v", err)
+	if _, err := b.Pass(1); !errors.Is(err, ErrNotOperating) {
+		t.Fatalf("crashed board Pass err = %v", err)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/board"
 	"repro/internal/prng"
@@ -225,10 +226,9 @@ func fill(b *board.Board, o Options) {
 func measureLevel(ctx context.Context, b *board.Board, o Options, v float64) (Level, error) {
 	nSites := b.Pool.Len()
 	level := Level{V: v}
-	perBRAMRuns := make([][]int, nSites) // [site][run]
-	for s := range perBRAMRuns {
-		perBRAMRuns[s] = make([]int, o.Runs)
-	}
+	// Every site's count of every run, site-major: site s's runs are
+	// siteRuns[s*o.Runs : (s+1)*o.Runs], so its median is taken in place.
+	siteRuns := make([]int, nSites*o.Runs)
 
 	// The paper validates link fidelity at each level with a full wire-path
 	// transfer before the measurement runs. The probe reads under the
@@ -243,7 +243,7 @@ func measureLevel(ctx context.Context, b *board.Board, o Options, v float64) (Le
 			return Level{}, err
 		}
 		runIdx := b.BeginRun()
-		total, f10, f01, err := scanPool(ctx, b, o, perBRAMRuns, run, runIdx)
+		total, f10, f01, err := scanPool(ctx, b, o, siteRuns, run, runIdx)
 		if err != nil {
 			return Level{}, err
 		}
@@ -256,36 +256,38 @@ func measureLevel(ctx context.Context, b *board.Board, o Options, v float64) (Le
 	level.MedianFaults = level.Stats.Median
 	level.FaultsPerMbit = level.MedianFaults / b.Pool.TotalMbits()
 	level.PerBRAM = make([]float64, nSites)
-	for s := range perBRAMRuns {
-		level.PerBRAM[s] = stats.MedianInts(perBRAMRuns[s])
+	for s := range level.PerBRAM {
+		level.PerBRAM[s] = stats.MedianIntsInPlace(siteRuns[s*o.Runs : (s+1)*o.Runs])
 	}
 	level.BRAMPowerW = b.BRAMPowerW()
 	level.MeterPowerW = b.MeasureTotalPowerW(10)
 	return level, nil
 }
 
-// scanPool surveys every BRAM once (one "run"), fanned out over o.Workers
-// readers. It rides the count-only read path — the fault overlay is evaluated
-// per site and stored words are consulted only at fault rows — so no 2 KB
-// snapshot is copied and no 1024-row compare runs per BRAM; the full-readout
-// path remains where contents are actually needed (pattern-of-content
-// studies, accel.ReadParameters, link-fidelity frames). When o.Gate is set,
-// each worker holds one budget unit while it scans.
-func scanPool(ctx context.Context, b *board.Board, o Options, perBRAM [][]int, run int, runIdx uint64) (total int, f10, f01 int64, err error) {
-	nSites := b.Pool.Len()
-	workers := o.Workers
-	if workers > nSites {
-		workers = nSites
+// claimBlock is how many consecutive sites a scan worker claims at a time:
+// the shared counter is touched once per block, not once per site, and the
+// last blocks still spread over the workers.
+const claimBlock = 32
+
+// scanPool surveys every BRAM once (one "run") on one board.Pass, fanned out
+// over at most o.Workers readers that claim claimBlock sites at a time from
+// a shared counter. It rides the count-only read path, so no 2 KB snapshot
+// is copied and no 1024-row compare runs per BRAM; the full-readout path
+// remains where contents are actually needed (pattern-of-content studies,
+// accel.ReadParameters, link-fidelity frames). Each site's count lands at
+// siteRuns[site*o.Runs+run]. When o.Gate is set, each worker holds one
+// budget unit while it scans.
+func scanPool(ctx context.Context, b *board.Board, o Options, siteRuns []int, run int, runIdx uint64) (total int, f10, f01 int64, err error) {
+	pass, err := b.Pass(runIdx)
+	if err != nil {
+		return 0, 0, 0, err
 	}
+	nSites := b.Pool.Len()
+	workers := min(o.Workers, (nSites+claimBlock-1)/claimBlock)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
-	next := make(chan int, nSites)
-	for s := 0; s < nSites; s++ {
-		next <- s
-	}
-	close(next)
-
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -301,23 +303,22 @@ func scanPool(ctx context.Context, b *board.Board, o Options, perBRAM [][]int, r
 				}
 				defer o.Gate.Release(1)
 			}
-			reader := b.NewReader()
+			var scratch []silicon.Fault
 			var localTotal int
 			var local10, local01 int64
-			for site := range next {
-				n, n10, n01, err := reader.CountInto(site, runIdx)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
+			for {
+				lo := int(next.Add(claimBlock)) - claimBlock
+				if lo >= nSites {
+					break
 				}
-				perBRAM[site][run] = n
-				localTotal += n
-				local10 += int64(n10)
-				local01 += int64(n01)
+				for site := lo; site < min(lo+claimBlock, nSites); site++ {
+					var n, n10, n01 int
+					scratch, n, n10, n01 = pass.Count(scratch, site)
+					siteRuns[site*o.Runs+run] = n
+					localTotal += n
+					local10 += int64(n10)
+					local01 += int64(n01)
+				}
 			}
 			mu.Lock()
 			total += localTotal

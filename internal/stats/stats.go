@@ -8,6 +8,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -78,13 +79,19 @@ func Median(xs []float64) float64 {
 	return (cp[mid-1] + cp[mid]) / 2
 }
 
-// MedianInts returns the median of an integer sample as a float64.
-func MedianInts(xs []int) float64 {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
+// MedianIntsInPlace returns the median of an integer sample as a float64,
+// exactly as Median would over the converted sample. It sorts xs in place
+// instead of copying it.
+func MedianIntsInPlace(xs []int) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	switch {
+	case n == 0:
+		return 0
+	case n%2 == 1:
+		return float64(xs[n/2])
 	}
-	return Median(fs)
+	return (float64(xs[n/2-1]) + float64(xs[n/2])) / 2
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear

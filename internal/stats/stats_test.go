@@ -59,6 +59,28 @@ func TestMedianOddEven(t *testing.T) {
 	}
 }
 
+// TestMedianIntsInPlaceMatchesMedian pins the in-place integer median to
+// Median over the converted sample, bit for bit, on empty, odd and even
+// samples.
+func TestMedianIntsInPlaceMatchesMedian(t *testing.T) {
+	f := func(xs []int32) bool {
+		ints := make([]int, len(xs))
+		fs := make([]float64, len(xs))
+		for i, x := range xs {
+			ints[i], fs[i] = int(x), float64(x)
+		}
+		return MedianIntsInPlace(ints) == Median(fs)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, xs := range [][]int32{nil, {7}, {3, 1}, {5, 2, 9}, {1, 1, 4, 4}} {
+		if !f(xs) {
+			t.Fatalf("MedianIntsInPlace(%v) != Median", xs)
+		}
+	}
+}
+
 func TestQuantile(t *testing.T) {
 	xs := []float64{10, 20, 30, 40, 50}
 	if q := Quantile(xs, 0); q != 10 {
