@@ -274,6 +274,8 @@ func (d *Disk) readSeg(id string, sg segInfo) []EventRecord {
 
 // ReadJobEvents returns id's events with Seq >= from, ascending and
 // de-duplicated by Seq, reading only the segments whose range overlaps.
+// Events below the truncation edge are never served, even when a failed
+// tail rewrite left copies of them in the tail.
 func (d *Disk) ReadJobEvents(id string, from, limit int) ([]EventRecord, error) {
 	if !ValidJobID(id) {
 		return nil, fmt.Errorf("store: malformed job id %q", id)
@@ -285,13 +287,14 @@ func (d *Disk) ReadJobEvents(id string, from, limit int) ([]EventRecord, error) 
 	if jl == nil {
 		return nil, nil
 	}
+	lo := max(from, jl.minAvail)
 	var out []EventRecord
 	for _, sg := range jl.segs {
-		if sg.maxSeq < from {
+		if sg.maxSeq < lo {
 			continue
 		}
 		for _, ev := range d.readSeg(id, sg) {
-			if ev.Seq >= from {
+			if ev.Seq >= lo {
 				out = append(out, ev)
 			}
 		}
@@ -302,7 +305,7 @@ func (d *Disk) ReadJobEvents(id string, from, limit int) ([]EventRecord, error) 
 	// Sealed copies were appended first, so dedup keeps them over any stale
 	// tail duplicates left by a crash mid-compaction.
 	for _, ev := range d.readTail(id) {
-		if ev.Seq >= from {
+		if ev.Seq >= lo {
 			out = append(out, ev)
 		}
 	}
@@ -371,7 +374,7 @@ func (d *Disk) ReadFirehose(after int64, limit int) ([]EventRecord, error) {
 		}
 		evs = sortDedupEvents(evs)
 		for _, ev := range evs {
-			if ev.GSeq > after {
+			if ev.GSeq > after && ev.Seq >= minAvail {
 				all = append(all, ev)
 			}
 		}

@@ -632,3 +632,64 @@ func TestTruncationEdgeSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFailedTailRewriteServesNothingBelowTheEdge: CompactJob drops segments
+// to the live cap before it rewrites the tail, so a failed rewrite leaves
+// copies of dropped events in the tail. Reads must still serve the marker
+// and only the events at or above the edge, before and after a reopen.
+func TestFailedTailRewriteServesNothingBelowTheEdge(t *testing.T) {
+	d, err := OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetEventLogTuning(4, 1<<20) // tiny segments, manual compaction only
+	d.SetLiveSegCap(2)
+	const id = "job-a"
+	appendN(t, d, id, 0, 40, 1) // GSeq = Seq + 1
+	injected := errors.New("injected tail rename failure")
+	d.SetFaultHooks(&FaultHooks{Rename: func(path string) error {
+		if filepath.Ext(path) == ".log" {
+			return injected
+		}
+		return nil
+	}})
+	if err := d.CompactJob(id); !errors.Is(err, injected) {
+		t.Fatalf("CompactJob err = %v, want the injected tail rewrite failure", err)
+	}
+	d.SetFaultHooks(nil)
+	check := func(t *testing.T, s *Disk, label string) {
+		t.Helper()
+		evs, err := s.ReadJobEvents(id, 0, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		var got []string
+		for _, ev := range evs {
+			if ev.Truncated {
+				got = append(got, fmt.Sprintf("%d:truncated", ev.Seq))
+			} else {
+				got = append(got, fmt.Sprint(ev.Seq))
+			}
+		}
+		want := []string{"31:truncated", "32", "33", "34", "35", "36", "37", "38", "39"}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: job read = %v, want %v", label, got, want)
+		}
+		fh, err := s.ReadFirehose(0, 0)
+		if err != nil {
+			t.Fatalf("%s: firehose: %v", label, err)
+		}
+		for i := 1; i < len(fh); i++ {
+			if fh[i].GSeq <= fh[i-1].GSeq {
+				t.Fatalf("%s: firehose GSeq %d (Seq %d) follows %d (Seq %d)",
+					label, fh[i].GSeq, fh[i].Seq, fh[i-1].GSeq, fh[i-1].Seq)
+			}
+		}
+	}
+	check(t, d, "live")
+	d = reopen(t, d)
+	check(t, d, "reopened")
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
