@@ -435,11 +435,11 @@ type Pass struct {
 
 // Pass opens a read pass under the given run index. It fails with
 // ErrNotOperating when the design is not running.
-func (b *Board) Pass(run uint64) (*Pass, error) {
+func (b *Board) Pass(run uint64) (Pass, error) {
 	if !b.Done() {
-		return nil, ErrNotOperating
+		return Pass{}, ErrNotOperating
 	}
-	return &Pass{b: b, eval: b.Die.Evaluator(b.conditions(run))}, nil
+	return Pass{b: b, eval: b.Die.Evaluator(b.conditions(run))}, nil
 }
 
 // Count counts one site's observable mismatches without materializing its

@@ -11,6 +11,9 @@ import (
 	"repro/internal/golden"
 )
 
+// raceDetector is set when the test binary runs under the race detector.
+var raceDetector bool
+
 // TestComparisonsGolden pins every experiment's paper-vs-measured rows at
 // the default scale, measured values in full precision, against
 // testdata/comparisons.golden. The worker count is pinned because NN
@@ -18,6 +21,10 @@ import (
 // weights, and every number downstream of them, depend on it. Rewrite the
 // file with -update only for an intended change of the numbers.
 func TestComparisonsGolden(t *testing.T) {
+	if raceDetector {
+		t.Skip("the default-scale run takes about ten minutes under the race detector; " +
+			"go test without -race and the science-golden CI job run it")
+	}
 	cfg := Config{Workers: 2}
 	full := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	var b strings.Builder
