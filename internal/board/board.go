@@ -65,8 +65,8 @@ type Board struct {
 	eval          evalMemo     // ReadBRAMInto's pass-evaluation memo
 
 	// env caches the electrical snapshot reads run under; it is refreshed on
-	// every rail/chamber change so opening a read pass costs no regulator
-	// round trips.
+	// every rail/chamber change, so resolving a pass's conditions queries
+	// neither the regulator nor the chamber.
 	env silicon.Conditions
 }
 
