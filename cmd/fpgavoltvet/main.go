@@ -3,9 +3,9 @@
 // analyzer mechanizes an invariant a past PR violated by hand:
 //
 //	atomicfs   store writes are atomicWrite or O_APPEND — never torn
+//	ctxhttp    outbound fed/server requests carry a context
 //	detrand    model packages draw randomness from internal/prng only
 //	errclass   errors classify via errors.Is, never ==/switch identity
-//	gatepair   every sem.Gate unit acquired is released on every path
 //	secretcmp  tokens compare in constant time
 //
 // Usage:

@@ -22,7 +22,6 @@ import (
 	"repro/internal/placement"
 	"repro/internal/platform"
 	"repro/internal/power"
-	"repro/internal/sem"
 	"repro/internal/xdc"
 )
 
@@ -33,27 +32,7 @@ type Accelerator struct {
 	Design *bitstream.Design
 	BS     *bitstream.Bitstream
 
-	blocks [][]int   // per layer: physical block indices in cell order
-	gate   *sem.Gate // shared read budget held during parameter readback
-}
-
-// SetReadGate installs a shared budget on the accelerator's undervolted
-// parameter readback: EvaluateAt and LayerFaultCounts hold one unit while
-// they read. The fleet engine hands every board's accelerator its read gate
-// so serial inference readback counts against the same fleet-wide ceiling
-// the sweep scan workers share. nil removes the gate.
-func (a *Accelerator) SetReadGate(g *sem.Gate) { a.gate = g }
-
-// acquireReadGate takes one budget unit (no-op when ungated), returning a
-// release func.
-func (a *Accelerator) acquireReadGate(ctx context.Context) (func(), error) {
-	if a.gate == nil {
-		return func() {}, nil
-	}
-	if err := a.gate.Acquire(ctx, 1); err != nil {
-		return nil, err
-	}
-	return func() { a.gate.Release(1) }, nil
+	blocks [][]int // per layer: physical block indices in cell order
 }
 
 // Build compiles the design (placing with the given constraints and seed)
@@ -180,35 +159,23 @@ type InferenceResult struct {
 // accelerator (reading parameters through the faulty path once — fault
 // locations are deterministic, so one read pass defines the epoch's
 // effective weights), and returns the classification error. The rail is
-// restored to nominal afterwards. The context is checked before the voltage
-// moves, so a cancelled campaign never leaves the rail underscaled.
+// restored to nominal afterwards, on every exit. The context is checked
+// before the voltage moves, so a cancelled campaign never leaves the rail
+// underscaled.
 func (a *Accelerator) EvaluateAt(ctx context.Context, v float64, xs [][]float64, ys []int, workers int) (InferenceResult, error) {
 	cal := a.Board.Platform.Cal
 	if err := ctx.Err(); err != nil {
 		return InferenceResult{}, err
 	}
-	// The gate is a cancellable blocking point, so it is taken before the
-	// rail moves: a campaign cancelled while queued for read budget must
-	// not leave VCCBRAM underscaled. It is released as soon as the readback
-	// ends — the float evaluation below is not BRAM read work and must not
-	// serialize the fleet.
-	release, err := a.acquireReadGate(ctx)
-	if err != nil {
-		return InferenceResult{}, err
-	}
 	if err := a.Board.SetVCCBRAM(v); err != nil {
-		release()
-		return InferenceResult{}, err
+		return InferenceResult{}, a.Board.RestoreVCCBRAM(err)
 	}
 	if !a.Board.Operating() {
-		release()
-		return InferenceResult{}, board.ErrNotOperating
+		return InferenceResult{}, a.Board.RestoreVCCBRAM(board.ErrNotOperating)
 	}
-	run := a.Board.BeginRun()
-	words, faults, err := a.ReadParameters(run)
-	release()
+	words, faults, err := a.ReadParameters(a.Board.BeginRun())
 	if err != nil {
-		return InferenceResult{}, err
+		return InferenceResult{}, a.Board.RestoreVCCBRAM(err)
 	}
 	if err := a.Board.SetVCCBRAM(cal.Vnom); err != nil {
 		return InferenceResult{}, err
@@ -271,24 +238,18 @@ func (a *Accelerator) PowerBreakdown(v float64) power.Breakdown {
 }
 
 // LayerFaultCounts reads parameters at voltage v and attributes faulty bits
-// to layers — the #faults bars of Fig. 13.
+// to layers — the #faults bars of Fig. 13. As in EvaluateAt, the rail is
+// restored to nominal on every exit.
 func (a *Accelerator) LayerFaultCounts(ctx context.Context, v float64) ([]int, error) {
 	cal := a.Board.Platform.Cal
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// As in EvaluateAt: the cancellable gate wait happens before the rail
-	// moves, never with VCCBRAM already underscaled.
-	release, err := a.acquireReadGate(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
 	if err := a.Board.SetVCCBRAM(v); err != nil {
-		return nil, err
+		return nil, a.Board.RestoreVCCBRAM(err)
 	}
 	if !a.Board.Operating() {
-		return nil, board.ErrNotOperating
+		return nil, a.Board.RestoreVCCBRAM(board.ErrNotOperating)
 	}
 	run := a.Board.BeginRun()
 	counts := make([]int, len(a.Net.Words))
@@ -296,7 +257,7 @@ func (a *Accelerator) LayerFaultCounts(ctx context.Context, v float64) ([]int, e
 	for j, words := range a.Net.Words {
 		for k, blkIdx := range a.blocks[j] {
 			if err := a.Board.ReadBRAMInto(buf, blkIdx, run); err != nil {
-				return nil, err
+				return nil, a.Board.RestoreVCCBRAM(err)
 			}
 			blk := a.Board.Pool.Block(blkIdx)
 			base := k * bram.Rows

@@ -2,6 +2,7 @@ package accel
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -340,6 +341,43 @@ func TestLayerFaultCounts(t *testing.T) {
 	}
 	if f.board.VCCBRAM() != 1.0 {
 		t.Fatal("rail not restored")
+	}
+}
+
+// belowVcrash builds an untrained accelerator on a scaled VC707 and returns
+// it with a voltage 50 mV under the platform's Vcrash. The error exits read
+// no weights' values, so the network needs no training.
+func belowVcrash(t *testing.T) (*Accelerator, float64) {
+	t.Helper()
+	net, err := nn.New([]int{64, 16, 10}, "crash-exit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := board.New(platform.VC707().Scaled(40))
+	a, err := Build(b, nn.Quantize(net), nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b.Platform.Cal.Vcrash - 0.05
+}
+
+func TestEvaluateAtBelowVcrashRestoresRail(t *testing.T) {
+	a, v := belowVcrash(t)
+	if _, err := a.EvaluateAt(context.Background(), v, nil, nil, 1); !errors.Is(err, board.ErrNotOperating) {
+		t.Fatalf("EvaluateAt below Vcrash returned %v, want ErrNotOperating", err)
+	}
+	if got, nom := a.Board.VCCBRAM(), a.Board.Platform.Cal.Vnom; got != nom {
+		t.Fatalf("VCCBRAM = %v after the crash exit, want nominal %v", got, nom)
+	}
+}
+
+func TestLayerFaultCountsBelowVcrashRestoresRail(t *testing.T) {
+	a, v := belowVcrash(t)
+	if _, err := a.LayerFaultCounts(context.Background(), v); !errors.Is(err, board.ErrNotOperating) {
+		t.Fatalf("LayerFaultCounts below Vcrash returned %v, want ErrNotOperating", err)
+	}
+	if got, nom := a.Board.VCCBRAM(), a.Board.Platform.Cal.Vnom; got != nom {
+		t.Fatalf("VCCBRAM = %v after the crash exit, want nominal %v", got, nom)
 	}
 }
 

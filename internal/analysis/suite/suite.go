@@ -9,7 +9,6 @@ import (
 	"repro/internal/analysis/ctxhttp"
 	"repro/internal/analysis/detrand"
 	"repro/internal/analysis/errclass"
-	"repro/internal/analysis/gatepair"
 	"repro/internal/analysis/secretcmp"
 )
 
@@ -20,7 +19,6 @@ func Analyzers() []*analysis.Analyzer {
 		ctxhttp.Analyzer,
 		detrand.Analyzer,
 		errclass.Analyzer,
-		gatepair.Analyzer,
 		secretcmp.Analyzer,
 	}
 }

@@ -39,9 +39,9 @@ func TestSelect(t *testing.T) {
 	if got, ok := Select(nil); !ok || len(got) != len(Analyzers()) {
 		t.Fatalf("Select(nil) = %d analyzers, ok=%v", len(got), ok)
 	}
-	got, ok := Select([]string{"gatepair", "errclass"})
-	if !ok || len(got) != 2 || got[0].Name != "gatepair" || got[1].Name != "errclass" {
-		t.Fatalf("Select(gatepair,errclass) = %v, ok=%v", got, ok)
+	got, ok := Select([]string{"secretcmp", "errclass"})
+	if !ok || len(got) != 2 || got[0].Name != "secretcmp" || got[1].Name != "errclass" {
+		t.Fatalf("Select(secretcmp,errclass) = %v, ok=%v", got, ok)
 	}
 	if _, ok := Select([]string{"nosuchcheck"}); ok {
 		t.Fatal("Select accepted an unknown analyzer name")

@@ -165,6 +165,17 @@ func (b *Board) SetVCCBRAM(v float64) error {
 	return nil
 }
 
+// RestoreVCCBRAM raises the BRAM rail back to nominal on an abnormal exit
+// and returns cause. The cause always stays visible (errors.Is keeps
+// matching it); a failed restore — the board left undervolted — is joined
+// onto it rather than swallowed.
+func (b *Board) RestoreVCCBRAM(cause error) error {
+	if err := b.SetVCCBRAM(b.Platform.Cal.Vnom); err != nil {
+		return errors.Join(cause, err)
+	}
+	return cause
+}
+
 // SetVCCINT programs the internal rail through the full PMBus path.
 func (b *Board) SetVCCINT(v float64) error {
 	if err := b.Ctl.SetVout(PageVCCINT, v); err != nil {

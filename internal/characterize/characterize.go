@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/board"
 	"repro/internal/prng"
-	"repro/internal/sem"
 	"repro/internal/silicon"
 	"repro/internal/stats"
 	"repro/internal/voltage"
@@ -41,13 +40,6 @@ type Options struct {
 	StepV       float64 // sweep step (0 → 10 mV)
 	OnBoardC    float64 // on-board temperature (0 → 50 °C)
 	Workers     int     // concurrent readers (0 → GOMAXPROCS)
-
-	// Gate, when set, is a shared budget on concurrently *running* read
-	// workers: every scanPool worker holds one unit for the duration of a
-	// read pass. The fleet engine hands all boards one gate so total read
-	// CPU stays flat as board count grows. Scheduling only — never part of
-	// the measurement identity (excluded from Fingerprint).
-	Gate *sem.Gate `json:"-"`
 }
 
 // Normalized resolves every zero field to its paper default under the given
@@ -91,8 +83,8 @@ func (o Options) Normalized(cal silicon.Calibration) Options {
 
 // Fingerprint returns a stable identity for the measurement-relevant knobs:
 // the silicon model version, effective data fill, sweep window, and step.
-// Worker count, Gate, and PatternName are excluded — the first two only
-// change scheduling, the third is a display label; what fill() actually
+// Worker count and PatternName are excluded — the first only changes
+// scheduling, the second is a display label; what fill() actually
 // writes is what identifies the measurement. The model version rides along
 // so FVMs persisted under an older weak-cell model miss the cache and are
 // re-measured rather than silently mixed with current-model results. Call it
@@ -178,10 +170,10 @@ func Run(ctx context.Context, b *board.Board, opts Options) (*Sweep, error) {
 	}
 	for _, v := range voltage.SweepDown(o.VStart, o.VStop, o.StepV) {
 		if err := ctx.Err(); err != nil {
-			return nil, restoreNominal(b, err)
+			return nil, b.RestoreVCCBRAM(err)
 		}
 		if err := b.SetVCCBRAM(v); err != nil {
-			return nil, restoreNominal(b, err)
+			return nil, b.RestoreVCCBRAM(err)
 		}
 		if !b.Operating() {
 			break // crash region reached; DONE dropped
@@ -189,7 +181,7 @@ func Run(ctx context.Context, b *board.Board, opts Options) (*Sweep, error) {
 		b.SoftReset()
 		level, err := measureLevel(ctx, b, o, v)
 		if err != nil {
-			return nil, restoreNominal(b, err)
+			return nil, b.RestoreVCCBRAM(err)
 		}
 		sweep.Levels = append(sweep.Levels, level)
 	}
@@ -197,17 +189,6 @@ func Run(ctx context.Context, b *board.Board, opts Options) (*Sweep, error) {
 		return nil, err
 	}
 	return sweep, nil
-}
-
-// restoreNominal raises the BRAM rail back to nominal on an abnormal exit.
-// The cause always stays visible (errors.Is keeps matching it); a failed
-// restore — the board left undervolted — is joined onto it rather than
-// swallowed.
-func restoreNominal(b *board.Board, cause error) error {
-	if err := b.SetVCCBRAM(b.Platform.Cal.Vnom); err != nil {
-		return errors.Join(cause, err)
-	}
-	return cause
 }
 
 // fill initializes the pool with the requested pattern.
@@ -243,7 +224,7 @@ func measureLevel(ctx context.Context, b *board.Board, o Options, v float64) (Le
 			return Level{}, err
 		}
 		runIdx := b.BeginRun()
-		total, f10, f01, err := scanPool(ctx, b, o, siteRuns, run, runIdx)
+		total, f10, f01, err := scanPool(b, o, siteRuns, run, runIdx)
 		if err != nil {
 			return Level{}, err
 		}
@@ -275,9 +256,8 @@ const claimBlock = 32
 // is copied and no 1024-row compare runs per BRAM; the full-readout path
 // remains where contents are actually needed (pattern-of-content studies,
 // accel.ReadParameters, link-fidelity frames). Each site's count lands at
-// siteRuns[site*o.Runs+run]. When o.Gate is set, each worker holds one
-// budget unit while it scans.
-func scanPool(ctx context.Context, b *board.Board, o Options, siteRuns []int, run int, runIdx uint64) (total int, f10, f01 int64, err error) {
+// siteRuns[site*o.Runs+run].
+func scanPool(b *board.Board, o Options, siteRuns []int, run int, runIdx uint64) (total int, f10, f01 int64, err error) {
 	pass, err := b.Pass(runIdx)
 	if err != nil {
 		return 0, 0, 0, err
@@ -287,22 +267,10 @@ func scanPool(ctx context.Context, b *board.Board, o Options, siteRuns []int, ru
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	var firstErr error
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if o.Gate != nil {
-				if err := o.Gate.Acquire(ctx, 1); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				defer o.Gate.Release(1)
-			}
 			var scratch []silicon.Fault
 			var localTotal int
 			var local10, local01 int64
@@ -328,9 +296,6 @@ func scanPool(ctx context.Context, b *board.Board, o Options, siteRuns []int, ru
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return 0, 0, 0, firstErr
-	}
 	return total, f10, f01, nil
 }
 
@@ -355,15 +320,6 @@ func (t Thresholds) GuardbandFrac() float64 {
 // pool) detects faults at each level. The board is reconfigured and restored
 // to nominal before returning.
 func DiscoverBRAMThresholds(ctx context.Context, b *board.Board, probeRuns int) (Thresholds, error) {
-	return DiscoverBRAMThresholdsGated(ctx, b, probeRuns, nil)
-}
-
-// DiscoverBRAMThresholdsGated is DiscoverBRAMThresholds under a shared read
-// budget: each voltage level's probe passes are executed while holding one
-// unit of gate (nil = ungated). Discovery reads serially, so without the
-// gate a fleet of concurrent discoveries would bypass the engine's
-// fleet-wide read ceiling entirely.
-func DiscoverBRAMThresholdsGated(ctx context.Context, b *board.Board, probeRuns int, gate *sem.Gate) (Thresholds, error) {
 	if probeRuns <= 0 {
 		probeRuns = 3
 	}
@@ -373,10 +329,10 @@ func DiscoverBRAMThresholdsGated(ctx context.Context, b *board.Board, probeRuns 
 	sawFault := false
 	for _, v := range voltage.SweepDown(cal.Vnom, 0.40, voltage.Step) {
 		if err := ctx.Err(); err != nil {
-			return th, restoreNominal(b, err)
+			return th, b.RestoreVCCBRAM(err)
 		}
 		if err := b.SetVCCBRAM(v); err != nil {
-			return th, restoreNominal(b, err)
+			return th, b.RestoreVCCBRAM(err)
 		}
 		if !b.Operating() {
 			break
@@ -385,9 +341,9 @@ func DiscoverBRAMThresholdsGated(ctx context.Context, b *board.Board, probeRuns 
 		// The probe only asks "any faults at this level?", so it rides the
 		// count-only path (bit granularity instead of the old word
 		// granularity — zero iff zero either way).
-		faults, err := probeLevel(ctx, b, probeRuns, gate)
+		faults, err := probeLevel(b, probeRuns)
 		if err != nil {
-			return th, restoreNominal(b, err)
+			return th, b.RestoreVCCBRAM(err)
 		}
 		if faults == 0 && !sawFault {
 			th.Vmin = v
@@ -403,15 +359,8 @@ func DiscoverBRAMThresholdsGated(ctx context.Context, b *board.Board, probeRuns 
 }
 
 // probeLevel counts faults across probeRuns read passes at the current
-// voltage, holding one unit of the read budget (when gated) for the whole
-// probe — the serial-path analogue of a scanPool worker's hold.
-func probeLevel(ctx context.Context, b *board.Board, probeRuns int, gate *sem.Gate) (int, error) {
-	if gate != nil {
-		if err := gate.Acquire(ctx, 1); err != nil {
-			return 0, err
-		}
-		defer gate.Release(1)
-	}
+// voltage.
+func probeLevel(b *board.Board, probeRuns int) (int, error) {
 	faults := 0
 	for r := 0; r < probeRuns; r++ {
 		n, _, _, err := b.CountFaultsInto(nil, b.BeginRun())
@@ -477,7 +426,7 @@ func RunPatternStudy(ctx context.Context, b *board.Board, v float64, patterns []
 	var out []PatternResult
 	for _, p := range patterns {
 		if err := ctx.Err(); err != nil {
-			return nil, restoreNominal(b, err)
+			return nil, b.RestoreVCCBRAM(err)
 		}
 		p.Runs = runs
 		p.VStart = v
@@ -486,15 +435,15 @@ func RunPatternStudy(ctx context.Context, b *board.Board, v float64, patterns []
 		b.SetOnBoardTemp(o.OnBoardC)
 		fill(b, o)
 		if err := b.SetVCCBRAM(v); err != nil {
-			return nil, restoreNominal(b, err)
+			return nil, b.RestoreVCCBRAM(err)
 		}
 		if !b.Operating() {
-			return nil, board.ErrNotOperating
+			return nil, b.RestoreVCCBRAM(board.ErrNotOperating)
 		}
 		b.SoftReset()
 		level, err := measureLevel(ctx, b, o, v)
 		if err != nil {
-			return nil, restoreNominal(b, err)
+			return nil, b.RestoreVCCBRAM(err)
 		}
 		out = append(out, PatternResult{
 			Name:          o.PatternName,

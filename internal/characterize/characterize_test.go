@@ -2,6 +2,7 @@ package characterize
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"sync"
@@ -9,7 +10,6 @@ import (
 
 	"repro/internal/board"
 	"repro/internal/platform"
-	"repro/internal/sem"
 	"repro/internal/stats"
 )
 
@@ -153,47 +153,40 @@ func TestDeterministicAcrossHarnessInvocations(t *testing.T) {
 
 // TestSweepIndependentOfScheduling proves scheduling never reaches the
 // science: on the full-chip ZC702, whose 280 sites divide evenly by none of
-// the worker counts, every worker count, ungated or contending for one
-// shared single-unit gate, returns the same sweep down to the last run
-// total, per-BRAM median, flip count and power reading.
+// the worker counts, every worker count, each sweep running concurrently
+// with the others, returns the same sweep down to the last run total,
+// per-BRAM median, flip count and power reading.
 func TestSweepIndependentOfScheduling(t *testing.T) {
 	p := platform.ZC702()
 	if p.NumBRAMs != 280 {
 		t.Fatalf("ZC702 has %d sites, want 280", p.NumBRAMs)
 	}
-	sweep := func(workers int, gate *sem.Gate) *Sweep {
-		s, err := Run(context.Background(), board.New(p), Options{Runs: 10, Workers: workers, Gate: gate})
+	sweep := func(workers int) *Sweep {
+		s, err := Run(context.Background(), board.New(p), Options{Runs: 10, Workers: workers})
 		if err != nil {
 			t.Error(err)
 		}
 		return s
 	}
-	want := sweep(1, nil)
+	want := sweep(1)
 	if want == nil || want.Final().MedianFaults == 0 {
 		t.Fatal("reference sweep saw no faults at Vcrash")
 	}
 	workers := []int{1, 2, 3, 8}
-	gate := sem.New(1)
-	gated := make([]*Sweep, len(workers))
+	got := make([]*Sweep, len(workers))
 	var wg sync.WaitGroup
 	for i, w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			gated[i] = sweep(w, gate)
+			got[i] = sweep(w)
 		}()
 	}
 	wg.Wait()
 	for i, w := range workers {
-		if got := sweep(w, nil); !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("Workers %d: sweep differs from Workers 1", w)
 		}
-		if !reflect.DeepEqual(gated[i], want) {
-			t.Errorf("Workers %d under a shared one-unit gate: sweep differs from Workers 1", w)
-		}
-	}
-	if st := gate.Stats(); st.Peak != 1 || st.InUse != 0 {
-		t.Fatalf("gate stats %+v: want peak 1 and no unit held", st)
 	}
 }
 
@@ -260,35 +253,13 @@ func TestDiscoverBRAMThresholds(t *testing.T) {
 	}
 }
 
-func TestDiscoverBRAMThresholdsGated(t *testing.T) {
-	// The gated variant must produce the identical discovery (the gate only
-	// schedules) and leave no units held.
-	gate := sem.New(1)
-	bare := newBoard(t, 60)
-	want, err := DiscoverBRAMThresholds(context.Background(), bare, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gatedBoard := newBoard(t, 60)
-	got, err := DiscoverBRAMThresholdsGated(context.Background(), gatedBoard, 2, gate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("gated discovery %+v differs from ungated %+v", got, want)
-	}
-	st := gate.Stats()
-	if st.Peak != 1 || st.InUse != 0 {
-		t.Fatalf("gate stats %+v: probes never acquired, or leaked units", st)
-	}
-
-	// A dead context surfaces promptly through the gate acquire, with the
-	// rail restored.
+func TestDiscoverBRAMThresholdsCancelled(t *testing.T) {
+	// A dead context surfaces promptly, with the rail restored.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	b := newBoard(t, 60)
-	if _, err := DiscoverBRAMThresholdsGated(ctx, b, 2, sem.New(1)); err == nil {
-		t.Fatal("cancelled gated discovery returned nil error")
+	if _, err := DiscoverBRAMThresholds(ctx, b, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled discovery returned %v, want context.Canceled", err)
 	}
 	if b.VCCBRAM() != b.Platform.Cal.Vnom {
 		t.Fatal("rail left underscaled after cancellation")
@@ -341,6 +312,18 @@ func TestPatternStudy(t *testing.T) {
 	// All-zeros: only the rare 0->1 population shows.
 	if zero.FaultsPerMbit > ffff.FaultsPerMbit*0.02 {
 		t.Fatalf("all-zeros rate = %v, want near zero (FFFF=%v)", zero.FaultsPerMbit, ffff.FaultsPerMbit)
+	}
+}
+
+func TestPatternStudyBelowVcrashRestoresRail(t *testing.T) {
+	b := newBoard(t, 60)
+	v := b.Platform.Cal.Vcrash - 0.05
+	_, err := RunPatternStudy(context.Background(), b, v, []Options{{Pattern: 0xFFFF}}, 2)
+	if !errors.Is(err, board.ErrNotOperating) {
+		t.Fatalf("pattern study below Vcrash returned %v, want ErrNotOperating", err)
+	}
+	if got := b.VCCBRAM(); got != b.Platform.Cal.Vnom {
+		t.Fatalf("VCCBRAM = %v after the crash exit, want nominal %v", got, b.Platform.Cal.Vnom)
 	}
 }
 

@@ -81,7 +81,8 @@ type flight struct {
 	err   error
 }
 
-// DefaultCacheCapacity bounds the cache when Options.CacheCapacity is zero.
+// DefaultCacheCapacity bounds a fleet's private cache, and any cache built
+// with a capacity <= 0.
 const DefaultCacheCapacity = 64
 
 // NewFVMCache returns an empty cache holding at most capacity entries

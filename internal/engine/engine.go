@@ -30,7 +30,6 @@ import (
 	"repro/internal/fvm"
 	"repro/internal/nn"
 	"repro/internal/platform"
-	"repro/internal/sem"
 	"repro/internal/stats"
 	"repro/internal/store"
 	"repro/internal/voltage"
@@ -279,8 +278,6 @@ type Options struct {
 	// Workers bounds how many boards run concurrently
 	// (0 → min(GOMAXPROCS, fleet size)).
 	Workers int
-	// CacheCapacity bounds the FVM cache (0 → DefaultCacheCapacity).
-	CacheCapacity int
 	// Store, when set, backs the FVM cache with a durable second level:
 	// characterizations write through as they complete and cache misses
 	// fall back to it, so a fleet built over a warm store never re-runs a
@@ -288,16 +285,9 @@ type Options struct {
 	Store store.Store
 	// Cache, when set, is shared with other fleets instead of building a
 	// private one — the shape a service wants, so concurrent jobs
-	// characterizing the same board collapse into one sweep. CacheCapacity
-	// and Store are then ignored; the shared cache's own capacity and
-	// backing govern.
+	// characterizing the same board collapse into one sweep. Store is then
+	// ignored; the shared cache's own capacity and backing govern.
 	Cache *FVMCache
-	// ReadBudget bounds how many BRAM read workers may *run* concurrently
-	// across the whole fleet: one weighted semaphore is shared by every
-	// board's scan, so total read CPU stays flat as board count grows
-	// (Workers only bounds boards; each board's sweep spins its own
-	// readers). 0 → GOMAXPROCS; negative → unlimited (no gate).
-	ReadBudget int
 }
 
 // Fleet is a pool of simulated boards campaigns run across. Boards are
@@ -309,7 +299,6 @@ type Fleet struct {
 	workers    int
 	cache      *FVMCache
 	placements *PlacementCache
-	readGate   *sem.Gate // fleet-wide read-worker budget (nil: unlimited)
 
 	characterizations atomic.Uint64 // real sweeps executed (cache misses)
 }
@@ -327,24 +316,16 @@ func NewFleet(platforms []platform.Platform, opts Options) *Fleet {
 	}
 	cache := opts.Cache
 	if cache == nil {
-		cache = NewFVMCache(opts.CacheCapacity)
+		cache = NewFVMCache(DefaultCacheCapacity)
 		if opts.Store != nil {
 			cache.SetBacking(opts.Store)
 		}
-	}
-	var gate *sem.Gate
-	switch {
-	case opts.ReadBudget > 0:
-		gate = sem.New(int64(opts.ReadBudget))
-	case opts.ReadBudget == 0:
-		gate = sem.New(int64(runtime.GOMAXPROCS(0)))
 	}
 	return &Fleet{
 		platforms:  append([]platform.Platform(nil), platforms...),
 		workers:    w,
 		cache:      cache,
 		placements: NewPlacementCache(),
-		readGate:   gate,
 	}
 }
 
@@ -366,16 +347,6 @@ func (f *Fleet) PlacementStats() PlacementStats { return f.placements.Stats() }
 // sweeps the fleet has executed since construction.
 func (f *Fleet) Characterizations() uint64 { return f.characterizations.Load() }
 
-// ReadGateStats snapshots the fleet-wide read-worker budget: capacity, units
-// in use, queued waiters, and the peak concurrency ever observed. A fleet
-// built with a negative ReadBudget has no gate and reports the zero Stats.
-func (f *Fleet) ReadGateStats() sem.Stats {
-	if f.readGate == nil {
-		return sem.Stats{}
-	}
-	return f.readGate.Stats()
-}
-
 // RunCampaign executes the campaign across every board with the fleet's
 // bounded worker pool. Per-board failures are recorded in their BoardResult
 // and do not stop the rest of the fleet; cancelling the context stops all
@@ -386,15 +357,12 @@ func (f *Fleet) RunCampaign(ctx context.Context, c Campaign) (*CampaignResult, e
 	}
 	// Split the CPU budget between fleet- and board-level parallelism: each
 	// sweep otherwise defaults to GOMAXPROCS readers on top of f.workers
-	// concurrent boards, oversubscribing the machine workers²-fold.
+	// concurrent boards, oversubscribing the machine workers²-fold. This
+	// split is the only bound on read concurrency: with defaults a fleet
+	// runs at most GOMAXPROCS scan workers, and each serial reader
+	// (threshold probes, mitigation scans, NN readback) is one board worker.
 	if c.Sweep.Workers == 0 && f.workers > 0 {
 		c.Sweep.Workers = max(1, runtime.GOMAXPROCS(0)/f.workers)
-	}
-	// All boards share the fleet's read-worker budget: worker *goroutines*
-	// may exceed it, but only ReadBudget of them scan at any instant, so
-	// fleet CPU stays flat no matter how many boards are in flight.
-	if c.Sweep.Gate == nil {
-		c.Sweep.Gate = f.readGate
 	}
 	pm := newProgressMeter()
 	for _, p := range f.platforms {
@@ -712,10 +680,6 @@ func (f *Fleet) inferenceBoard(ctx context.Context, c Campaign, p platform.Platf
 	if err != nil {
 		return err
 	}
-	// Inference readback is serial per board, but N boards run at once:
-	// each board's parameter read pass holds one unit of the fleet-wide
-	// read budget, the same gate the sweep scan workers share.
-	a.SetReadGate(f.readGate)
 	rs, err := a.Sweep(ctx, c.TestX, c.TestY, 0)
 	if err != nil {
 		return err
@@ -725,12 +689,13 @@ func (f *Fleet) inferenceBoard(ctx context.Context, c Campaign, p platform.Platf
 }
 
 // patternBoard measures each requested fill at the campaign's fixed voltage
-// on one board (Fig. 4, fleet-wide). The campaign's on-board temperature is
-// threaded into every fill that does not set its own — otherwise a
-// temp_c=80 pattern study would silently measure at each pattern's 50 °C
-// default.
+// on one board (Fig. 4, fleet-wide). The campaign's on-board temperature and
+// per-board worker count are threaded into every fill that does not set its
+// own — otherwise a temp_c=80 pattern study would silently measure at each
+// pattern's 50 °C default, and every fill would start GOMAXPROCS readers on
+// each of the fleet's concurrent boards.
 func (f *Fleet) patternBoard(ctx context.Context, c Campaign, p platform.Platform, res *BoardResult) error {
-	// Clone before patching temperatures: every board worker sees the same
+	// Clone before patching the fills: every board worker sees the same
 	// backing array, and the caller's Campaign must not be mutated.
 	pats := slices.Clone(c.Patterns)
 	if len(pats) == 0 {
@@ -741,9 +706,8 @@ func (f *Fleet) patternBoard(ctx context.Context, c Campaign, p platform.Platfor
 		if pats[i].OnBoardC == 0 {
 			pats[i].OnBoardC = o.OnBoardC
 		}
-		// Pattern scans ride the same fleet-wide read budget.
-		if pats[i].Gate == nil {
-			pats[i].Gate = o.Gate
+		if pats[i].Workers == 0 {
+			pats[i].Workers = o.Workers
 		}
 	}
 	v := c.PatternV
@@ -766,9 +730,7 @@ func (f *Fleet) thresholdsBoard(ctx context.Context, c Campaign, p platform.Plat
 	b := board.New(p)
 	b.SetOnBoardTemp(c.Sweep.Normalized(p.Cal).OnBoardC)
 	f.characterizations.Add(2)
-	// The per-level fault probes are serial reads; gating them keeps the
-	// fleet's read budget a true ceiling when many boards discover at once.
-	thB, err := characterize.DiscoverBRAMThresholdsGated(ctx, b, c.ProbeRuns, f.readGate)
+	thB, err := characterize.DiscoverBRAMThresholds(ctx, b, c.ProbeRuns)
 	if err != nil {
 		return err
 	}

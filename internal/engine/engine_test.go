@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -13,7 +12,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/platform"
-	"repro/internal/sem"
 )
 
 // testFleet mints 8 small boards spanning all four platforms: the reference
@@ -411,53 +409,25 @@ func TestReplicasMintDistinctDies(t *testing.T) {
 	}
 }
 
-// TestReadBudgetBoundsFleetConcurrency proves the global read-worker budget
-// holds: with 4 boards in flight each asking for 4 readers, a budget of 2
-// never lets more than 2 read workers run at once, and the campaign still
-// completes with results identical to an unbudgeted fleet.
-func TestReadBudgetBoundsFleetConcurrency(t *testing.T) {
-	budgeted := testFleet(t, Options{Workers: 4, ReadBudget: 2})
+// TestOversubscribedFleetMatchesSerial proves read concurrency is scheduling
+// only: 4 boards in flight, each asking for 4 readers, return board results
+// identical to a fleet that runs one board at a time.
+func TestOversubscribedFleetMatchesSerial(t *testing.T) {
 	sweep := characterize.Options{Runs: 4, Workers: 4}
-	res, err := budgeted.RunCampaign(context.Background(), Campaign{Kind: Characterization, Sweep: sweep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Agg.Completed != 8 || res.Agg.Failed != 0 {
-		t.Fatalf("completed=%d failed=%d, want 8/0", res.Agg.Completed, res.Agg.Failed)
-	}
-	st := budgeted.ReadGateStats()
-	if st.Capacity != 2 {
-		t.Fatalf("gate capacity = %d, want 2", st.Capacity)
-	}
-	if st.Peak < 1 || st.Peak > 2 {
-		t.Fatalf("peak read workers = %d, want within (0, 2]", st.Peak)
-	}
-	if st.InUse != 0 || st.Waiting != 0 {
-		t.Fatalf("gate not drained after campaign: %+v", st)
-	}
-
-	// The budget is scheduling only: measured results must be identical.
-	free := testFleet(t, Options{Workers: 4, ReadBudget: -1})
-	if got := free.ReadGateStats(); got != (sem.Stats{}) {
-		t.Fatalf("unlimited fleet reports gate stats %+v", got)
-	}
-	res2, err := free.RunCampaign(context.Background(), Campaign{Kind: Characterization, Sweep: sweep})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Boards {
-		a, b := res.Boards[i].Sweep, res2.Boards[i].Sweep
-		if a.Final().MedianFaults != b.Final().MedianFaults || len(a.Levels) != len(b.Levels) {
-			t.Fatalf("board %d: budgeted and unbudgeted sweeps differ", i)
+	run := func(workers int) []BoardResult {
+		res, err := testFleet(t, Options{Workers: workers}).RunCampaign(context.Background(),
+			Campaign{Kind: Characterization, Sweep: sweep})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if res.Agg.Completed != 8 || res.Agg.Failed != 0 {
+			t.Fatalf("Workers %d: completed=%d failed=%d, want 8/0", workers, res.Agg.Completed, res.Agg.Failed)
+		}
+		return res.Boards
 	}
-}
-
-// TestReadBudgetDefaultsToGOMAXPROCS pins the 0 → GOMAXPROCS default.
-func TestReadBudgetDefaultsToGOMAXPROCS(t *testing.T) {
-	f := testFleet(t, Options{Workers: 2})
-	if st := f.ReadGateStats(); st.Capacity != int64(runtime.GOMAXPROCS(0)) {
-		t.Fatalf("default gate capacity = %d, want GOMAXPROCS %d", st.Capacity, runtime.GOMAXPROCS(0))
+	want := run(1)
+	if got := run(4); !reflect.DeepEqual(got, want) {
+		t.Fatal("fleet Workers 4 board results differ from fleet Workers 1")
 	}
 }
 

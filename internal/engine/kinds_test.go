@@ -135,49 +135,6 @@ func TestThresholdsCampaign(t *testing.T) {
 	}
 }
 
-func TestSerialReadPathsRideTheReadBudget(t *testing.T) {
-	// Threshold discovery and NN-inference readback read serially, outside
-	// scanPool's worker fan-out; both must still count against the fleet's
-	// read budget or it is not a true ceiling (ROADMAP PR 4 follow-up).
-	ps := platform.VC707().Scaled(24).Replicas(2)
-
-	f := NewFleet(ps, Options{Workers: 2, ReadBudget: 1})
-	if _, err := f.RunCampaign(context.Background(), Campaign{Kind: KindThresholds}); err != nil {
-		t.Fatal(err)
-	}
-	st := f.ReadGateStats()
-	if st.Peak == 0 {
-		t.Fatal("threshold discovery never touched the read gate")
-	}
-	if st.Peak > 1 || st.InUse != 0 {
-		t.Fatalf("gate stats %+v: budget 1 exceeded or units leaked", st)
-	}
-
-	ds := dataset.MNISTLike(dataset.Options{
-		TrainSamples: 200, TestSamples: 40, Features: 64, Classes: 10,
-	})
-	net, err := nn.New([]int{64, 16, 10}, "gate-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Train(ds.TrainX, ds.TrainY, nn.TrainOptions{Epochs: 1, LearnRate: 0.3, Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	f = NewFleet(ps, Options{Workers: 2, ReadBudget: 1})
-	if _, err := f.RunCampaign(context.Background(), Campaign{
-		Kind: NNInference, Net: nn.Quantize(net), TestX: ds.TestX, TestY: ds.TestY,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	st = f.ReadGateStats()
-	if st.Peak == 0 {
-		t.Fatal("inference readback never touched the read gate")
-	}
-	if st.Peak > 1 || st.InUse != 0 {
-		t.Fatalf("gate stats %+v: budget 1 exceeded or units leaked", st)
-	}
-}
-
 func TestCampaignProgressEvents(t *testing.T) {
 	// A mixed fleet: platform voltage windows differ, so board weights do
 	// too, and the percentage must still climb to exactly 100.

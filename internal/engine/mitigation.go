@@ -186,7 +186,7 @@ func (f *Fleet) mitigationBoard(ctx context.Context, c Campaign, pm *progressMet
 	}
 	icbpSites := defSites
 	if slices.Contains(arms, ArmICBP) {
-		s, err := f.icbpPlacement(ctx, b, p, pattern, ladder, k)
+		s, err := icbpPlacement(b, p, pattern, ladder, k)
 		if err != nil {
 			return err
 		}
@@ -215,12 +215,6 @@ func (f *Fleet) mitigationBoard(ctx context.Context, c Campaign, pm *progressMet
 	// scan reads the payload sites under the given run and returns the
 	// total flipped bits plus one XOR mask per faulty word.
 	scan := func(run uint64, sites []int) (flipped int, masks []uint16, err error) {
-		if f.readGate != nil {
-			if err := f.readGate.Acquire(ctx, 1); err != nil {
-				return 0, nil, err
-			}
-			defer f.readGate.Release(1)
-		}
 		for _, site := range sites {
 			if err := b.ReadBRAMInto(buf, site, run); err != nil {
 				return 0, nil, err
@@ -396,7 +390,7 @@ func finishMitigationArm(arm *MitigationArm, nominal dvfs.OperatingPoint) {
 // payload on the k sites of the lowest-vulnerability clusters, breaking
 // ties by vulnerability then site order. The probe uses its own run index;
 // the board returns to nominal before the study begins.
-func (f *Fleet) icbpPlacement(ctx context.Context, b *board.Board, p platform.Platform, pattern uint16, ladder []float64, k int) ([]int, error) {
+func icbpPlacement(b *board.Board, p platform.Platform, pattern uint16, ladder []float64, k int) ([]int, error) {
 	deep := p.Cal.Vcrash
 	if n := len(ladder); n > 0 && ladder[n-1] > deep {
 		deep = ladder[n-1]
@@ -406,18 +400,10 @@ func (f *Fleet) icbpPlacement(ctx context.Context, b *board.Board, p platform.Pl
 	}
 	vuln := make([]float64, b.Pool.Len())
 	if b.Operating() {
-		if f.readGate != nil {
-			if err := f.readGate.Acquire(ctx, 1); err != nil {
-				return nil, err
-			}
-		}
 		run := b.BeginRun()
 		buf := make([]uint16, bram.Rows)
 		for site := 0; site < b.Pool.Len(); site++ {
 			if err := b.ReadBRAMInto(buf, site, run); err != nil {
-				if f.readGate != nil {
-					f.readGate.Release(1)
-				}
 				return nil, err
 			}
 			n := 0
@@ -425,9 +411,6 @@ func (f *Fleet) icbpPlacement(ctx context.Context, b *board.Board, p platform.Pl
 				n += bits.OnesCount16(w ^ pattern)
 			}
 			vuln[site] = float64(n)
-		}
-		if f.readGate != nil {
-			f.readGate.Release(1)
 		}
 	}
 	if err := b.SetVCCBRAM(p.Cal.Vnom); err != nil {
